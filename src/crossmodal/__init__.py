@@ -27,7 +27,6 @@ from .networks import (
     NetworkSpec,
     default_paper_spec,
     desk_spec,
-    forward,
     forward_batch,
     init_params,
 )
@@ -37,7 +36,7 @@ __all__ = [
     "fully_connected", "conv1d_same", "conv2d_same",
     "maxpool1d", "maxpool2d", "relu", "softmax", "cosine_similarity",
     "NetworkSpec", "ModelParams", "default_paper_spec", "desk_spec",
-    "init_params", "forward", "forward_batch",
+    "init_params", "forward_batch",
     "CrossModalError", "ShapeError", "ConfigError", "ContractError",
     "DegenerateInputError", "DataFormatError", "NumericError",
 ]

@@ -306,12 +306,18 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         db = g.sum(axis=(0, 2))
         gm = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * L, F)
         xpt = np.ascontiguousarray(xp.transpose(0, 2, 1))  # (B, Lp, C)
+        # The input-layer windows are as large as the sound batch itself: one
+        # buffer serves every tap, and no dx is built for a data batch.
         dk = np.empty_like(kern)
-        dxpt = np.zeros((B, Lp, C))
+        dxpt = np.zeros((B, Lp, C)) if x.requires_grad else None
+        win = np.empty((B, L, C))
         for t in range(K):
-            win = np.ascontiguousarray(xpt[:, t:t + L, :]).reshape(B * L, C)
-            dk[:, :, t] = gm.T @ win
-            dxpt[:, t:t + L, :] += (gm @ kern[:, :, t]).reshape(B, L, C)
+            np.copyto(win, xpt[:, t:t + L, :])
+            dk[:, :, t] = gm.T @ win.reshape(B * L, C)
+            if dxpt is not None:
+                dxpt[:, t:t + L, :] += (gm @ kern[:, :, t]).reshape(B, L, C)
+        if dxpt is None:
+            return None, dk, db
         dx = np.ascontiguousarray(dxpt.transpose(0, 2, 1)[:, :, pad:pad + L])
         return dx, dk, db
 

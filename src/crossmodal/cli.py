@@ -272,8 +272,6 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"unknown eval tasks {unknown}; valid tasks are: {', '.join(EVAL_TASKS)}"
         )
-    if args.checkpoint is None:
-        raise ConfigError("eval needs --checkpoint")
     _, params, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     if not dataset.pair_ids("test"):

@@ -39,7 +39,6 @@ class Sample:
     modality: str
     payload: np.ndarray
     id: str
-    preprocessed: bool = True
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -70,8 +69,6 @@ class PairedBatch:
                 raise ContractError(f"anchor {a.id} has modality {a.modality}, expected image")
             if p.modality != expected:
                 raise ContractError(f"positive {p.id} has modality {p.modality}, expected {expected}")
-            if not (a.preprocessed and p.preprocessed):
-                raise ContractError("raw (unpreprocessed) samples cannot enter a batch")
         if self.teacher_rows is not None and len(self.teacher_rows) != len(self.anchors):
             raise ContractError("teacher rows do not match batch size")
 
@@ -451,12 +448,6 @@ def batch_iterator(handles: DatasetHandles, batch_size: int, seed: int):
     while True:
         yield schedule_batch(handles, batch_size, seed, iteration)
         iteration += 1
-
-
-def epoch_length(handles: DatasetHandles, batch_size: int) -> int:
-    """Iterations needed to visit every pair of both pools once."""
-    return len(_epoch_chunks(len(handles.image_sound), batch_size)) + \
-        len(_epoch_chunks(len(handles.image_text), batch_size))
 
 
 # -- on-disk datasets ----------------------------------------------------------

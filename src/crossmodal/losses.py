@@ -130,17 +130,15 @@ def ranking_loss(anchor_reprs: Tensor, positive_reprs: Tensor,
     return ad.mean_all(hinge)
 
 
-def combined_loss(batch, params: ModelParams, teacher=None,
+def combined_loss(batch, params: ModelParams,
                   cfg: LossConfig | None = None) -> tuple[Tensor, dict[str, float]]:
     """Weighted sum of the model-transfer and ranking terms for one batch.
 
     The KL term distills the paired image's teacher row into the softmax of
     both student pathways. Ranking terms run in both directions (image as
     anchor and as positive) on every configured layer. Returns the scalar
-    loss and a per-term breakdown of float values.
-
-    ``teacher`` is accepted for interface symmetry; the rows actually used
-    are ``batch.teacher_rows`` (resolved when the batch was assembled).
+    loss and a per-term breakdown of float values. The KL targets are
+    ``batch.teacher_rows``, resolved when the batch was assembled.
     """
     cfg = cfg or LossConfig()
     if batch.pair_type not in ("image+sound", "image+text"):
@@ -152,8 +150,6 @@ def combined_loss(batch, params: ModelParams, teacher=None,
     B = image_arr.shape[0]
 
     teacher_rows = batch.teacher_rows
-    if teacher_rows is None and teacher is not None:
-        teacher_rows = teacher.rows_for([s.id for s in batch.anchors])
     if cfg.kl_weight > 0 and teacher_rows is None:
         raise ConfigError("model-transfer loss enabled but no teacher targets supplied")
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar, get_args
 
 import numpy as np
 
@@ -23,80 +25,166 @@ MODALITIES = ("image", "sound", "text")
 TAP_NAMES = ("bottleneck", "shared1", "shared2", "softmax")
 
 
+class _Layer:
+    """A layer spec: its JSON ``tag``, the input ``rank`` it needs (0: any),
+    the ``group`` whose counter names its parameters (None: it has none), its
+    output shape, its parameter shapes in order, and how it is applied to a
+    batch with those parameters as arguments. Every field is a positive int.
+    """
+
+    tag: ClassVar[str]
+    rank: ClassVar[int] = 0
+    group: ClassVar[str | None] = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(
+                    f"{self.tag} layer: {f.name} must be a positive integer, got {value!r}")
+
+    def param_shapes(self, in_shape: tuple[int, ...]) -> dict[str, tuple[int, ...]]:
+        return {}
+
+    def to_json(self) -> dict:
+        return {"type": self.tag, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class Conv1dSpec:
+class Conv1dSpec(_Layer):
     kernel: int
     filters: int
+    tag = "conv1d"
+    rank = 2
+    group = "conv"
+
+    def out_shape(self, shape):
+        return (self.filters, shape[1])
+
+    def param_shapes(self, in_shape):
+        return {"kernels": (self.filters, in_shape[0], self.kernel), "bias": (self.filters,)}
+
+    def apply(self, x, kernels, bias):
+        return ad.relu(ad.conv1d_same(x, kernels, bias))
 
 
 @dataclass(frozen=True)
-class Pool1dSpec:
+class Pool1dSpec(_Layer):
+    """Max-pooling over time by ``factor``; a partial last window is kept."""
+
     factor: int
+    tag = "pool1d"
+    rank = 2
+
+    def out_shape(self, shape):
+        return (shape[0], -(-shape[1] // self.factor))
+
+    def apply(self, x):
+        return ad.maxpool1d(x, self.factor)
 
 
 @dataclass(frozen=True)
-class Conv2dSpec:
+class Conv2dSpec(_Layer):
     kernel: int
     filters: int
     stride: int = 1
+    tag = "conv2d"
+    rank = 3
+    group = "conv"
+
+    def out_shape(self, shape):
+        return (self.filters,
+                (shape[1] - 1) // self.stride + 1,
+                (shape[2] - 1) // self.stride + 1)
+
+    def param_shapes(self, in_shape):
+        return {"kernels": (self.filters, in_shape[0], self.kernel, self.kernel),
+                "bias": (self.filters,)}
+
+    def apply(self, x, kernels, bias):
+        return ad.relu(ad.conv2d_same(x, kernels, bias, stride=self.stride))
 
 
 @dataclass(frozen=True)
-class Pool2dSpec:
+class Pool2dSpec(_Layer):
+    """Unpadded max-pooling with a square window."""
+
     window: int
     stride: int
+    tag = "pool2d"
+    rank = 3
+
+    def out_shape(self, shape):
+        return (shape[0],
+                (shape[1] - self.window) // self.stride + 1,
+                (shape[2] - self.window) // self.stride + 1)
+
+    def apply(self, x):
+        return ad.maxpool2d(x, self.window, self.stride)
 
 
 @dataclass(frozen=True)
-class FlattenSpec:
-    pass
+class FlattenSpec(_Layer):
+    tag = "flatten"
+
+    def out_shape(self, shape):
+        return (math.prod(shape),)
+
+    def apply(self, x):
+        return ad.reshape(x, (x.shape[0], math.prod(x.shape[1:])))
 
 
 @dataclass(frozen=True)
-class DenseSpec:
+class DenseSpec(_Layer):
     width: int
+    tag = "dense"
+    rank = 1
+    group = "fc"
+
+    def out_shape(self, shape):
+        return (self.width,)
+
+    def param_shapes(self, in_shape):
+        return {"weight": (in_shape[0], self.width), "bias": (self.width,)}
+
+    def apply(self, x, weight, bias):
+        return ad.relu(ad.fully_connected(x, weight, bias))
 
 
 LayerSpec = Conv1dSpec | Pool1dSpec | Conv2dSpec | Pool2dSpec | FlattenSpec | DenseSpec
 
+_LAYER_TYPES = {cls.tag: cls for cls in get_args(LayerSpec)}
+
+
+def _walk(input_shape: tuple[int, ...], layers):
+    """Yield (layer, input shape, output shape, parameter group name) along a
+    pathway, checking each layer's input rank and output shape.
+
+    The group name is ``conv{n}`` or ``fc{n}``, counted separately, and None
+    for layers without parameters; parameters are named
+    ``{modality}.{group name}.{parameter}``.
+    """
+    counts: Counter[str] = Counter()
+    shape = tuple(input_shape)
+    for layer in layers:
+        if type(layer) not in _LAYER_TYPES.values():
+            raise ConfigError(f"unknown layer spec {layer!r}")
+        if layer.rank and len(shape) != layer.rank:
+            raise ConfigError(f"{layer.tag} layer needs a rank-{layer.rank} input, got shape {shape}")
+        out = layer.out_shape(shape)
+        if any(n <= 0 for n in out):
+            raise ConfigError(f"layer {layer!r} produced empty shape {out}")
+        name = None
+        if layer.group:
+            counts[layer.group] += 1
+            name = f"{layer.group}{counts[layer.group]}"
+        yield layer, shape, out, name
+        shape = out
+
 
 def trace_pathway(input_shape: tuple[int, ...], layers) -> list[tuple[int, ...]]:
     """Shapes (excluding the batch axis) after each layer of a pathway."""
-    shapes = [tuple(input_shape)]
-    cur = tuple(input_shape)
-    for layer in layers:
-        if isinstance(layer, Conv1dSpec):
-            if len(cur) != 2:
-                raise ConfigError(f"conv1d after shape {cur}")
-            cur = (layer.filters, cur[1])
-        elif isinstance(layer, Pool1dSpec):
-            if len(cur) != 2:
-                raise ConfigError(f"pool1d after shape {cur}")
-            cur = (cur[0], -(-cur[1] // layer.factor))
-        elif isinstance(layer, Conv2dSpec):
-            if len(cur) != 3:
-                raise ConfigError(f"conv2d after shape {cur}")
-            cur = (layer.filters,
-                   (cur[1] - 1) // layer.stride + 1,
-                   (cur[2] - 1) // layer.stride + 1)
-        elif isinstance(layer, Pool2dSpec):
-            if len(cur) != 3:
-                raise ConfigError(f"pool2d after shape {cur}")
-            cur = (cur[0],
-                   (cur[1] - layer.window) // layer.stride + 1,
-                   (cur[2] - layer.window) // layer.stride + 1)
-        elif isinstance(layer, FlattenSpec):
-            cur = (int(np.prod(cur)),)
-        elif isinstance(layer, DenseSpec):
-            if len(cur) != 1:
-                raise ConfigError(f"dense layer needs a flat input, got shape {cur}")
-            cur = (layer.width,)
-        else:
-            raise ConfigError(f"unknown layer spec {layer!r}")
-        if any(n <= 0 for n in cur):
-            raise ConfigError(f"layer {layer!r} produced empty shape {cur}")
-        shapes.append(cur)
-    return shapes
+    return [tuple(input_shape)] + [out for _, _, out, _ in _walk(input_shape, layers)]
 
 
 @dataclass(frozen=True)
@@ -264,26 +352,9 @@ def parameter_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     """
     shapes: dict[str, tuple[int, ...]] = {}
     for modality in MODALITIES:
-        conv_n = 0
-        fc_n = 0
-        cur = spec.input_shape(modality)
-        for layer, out in zip(spec.pathway(modality),
-                              trace_pathway(spec.input_shape(modality),
-                                            spec.pathway(modality))[1:]):
-            if isinstance(layer, Conv1dSpec):
-                conv_n += 1
-                shapes[f"{modality}.conv{conv_n}.kernels"] = (layer.filters, cur[0], layer.kernel)
-                shapes[f"{modality}.conv{conv_n}.bias"] = (layer.filters,)
-            elif isinstance(layer, Conv2dSpec):
-                conv_n += 1
-                shapes[f"{modality}.conv{conv_n}.kernels"] = (
-                    layer.filters, cur[0], layer.kernel, layer.kernel)
-                shapes[f"{modality}.conv{conv_n}.bias"] = (layer.filters,)
-            elif isinstance(layer, DenseSpec):
-                fc_n += 1
-                shapes[f"{modality}.fc{fc_n}.weight"] = (cur[0], layer.width)
-                shapes[f"{modality}.fc{fc_n}.bias"] = (layer.width,)
-            cur = out
+        for layer, in_shape, _, name in _walk(spec.input_shape(modality), spec.pathway(modality)):
+            for param, shape in layer.param_shapes(in_shape).items():
+                shapes[f"{modality}.{name}.{param}"] = shape
     prev = spec.bottleneck_dim
     for i, width in enumerate(spec.shared_widths, start=1):
         shapes[f"shared.fc{i}.weight"] = (prev, width)
@@ -327,13 +398,11 @@ def init_params(spec: NetworkSpec, seed: int, sigma: float = 0.01) -> ModelParam
     return ModelParams(spec=spec, tensors=tensors)
 
 
-def forward_batch(params: ModelParams, batch: np.ndarray, modality: str,
-                  taps=None) -> dict[str, Tensor]:
+def forward_batch(params: ModelParams, batch: np.ndarray, modality: str) -> dict[str, Tensor]:
     """Run one modality pathway plus the shared trunk on a batch.
 
     batch: (B, *input_shape) for the modality. Returns the bottleneck, both
-    shared hidden activations, and the softmax output (requested taps are
-    validated but those four are always included).
+    shared hidden activations, and the softmax output.
     """
     spec = params.spec
     expected = spec.input_shape(modality)
@@ -341,35 +410,11 @@ def forward_batch(params: ModelParams, batch: np.ndarray, modality: str,
         raise ShapeError(
             f"{modality} batch has shape {batch.shape}, expected (B, {', '.join(map(str, expected))})"
         )
-    if taps is not None:
-        unknown = set(taps) - set(TAP_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown taps {sorted(unknown)}; valid taps are {TAP_NAMES}")
 
     t = Tensor(np.asarray(batch, dtype=np.float64))
-    conv_n = 0
-    fc_n = 0
-    for layer in spec.pathway(modality):
-        if isinstance(layer, Conv1dSpec):
-            conv_n += 1
-            t = ad.relu(ad.conv1d_same(
-                t, params[f"{modality}.conv{conv_n}.kernels"],
-                params[f"{modality}.conv{conv_n}.bias"]))
-        elif isinstance(layer, Conv2dSpec):
-            conv_n += 1
-            t = ad.relu(ad.conv2d_same(
-                t, params[f"{modality}.conv{conv_n}.kernels"],
-                params[f"{modality}.conv{conv_n}.bias"], stride=layer.stride))
-        elif isinstance(layer, Pool1dSpec):
-            t = ad.maxpool1d(t, layer.factor)
-        elif isinstance(layer, Pool2dSpec):
-            t = ad.maxpool2d(t, layer.window, layer.stride)
-        elif isinstance(layer, FlattenSpec):
-            t = ad.reshape(t, (t.shape[0], int(np.prod(t.shape[1:]))))
-        elif isinstance(layer, DenseSpec):
-            fc_n += 1
-            t = ad.relu(ad.fully_connected(
-                t, params[f"{modality}.fc{fc_n}.weight"], params[f"{modality}.fc{fc_n}.bias"]))
+    for layer, in_shape, _, name in _walk(expected, spec.pathway(modality)):
+        t = layer.apply(t, *(params[f"{modality}.{name}.{param}"]
+                             for param in layer.param_shapes(in_shape)))
     bottleneck = t
 
     hidden = bottleneck
@@ -389,86 +434,37 @@ def forward_batch(params: ModelParams, batch: np.ndarray, modality: str,
     }
 
 
-def forward(params: ModelParams, sample, taps=None) -> dict[str, Tensor]:
-    """Single-sample forward; see forward_batch."""
-    acts = forward_batch(params, sample.payload[None].astype(np.float64),
-                         sample.modality, taps=taps)
-    return acts
-
-
 # -- NetworkSpec JSON serialization ----------------------------------------
 
-_LAYER_TAGS = {
-    Conv1dSpec: "conv1d",
-    Pool1dSpec: "pool1d",
-    Conv2dSpec: "conv2d",
-    Pool2dSpec: "pool2d",
-    FlattenSpec: "flatten",
-    DenseSpec: "dense",
-}
 
-
-def _layer_to_json(layer) -> dict:
-    tag = _LAYER_TAGS[type(layer)]
-    record = {"type": tag}
-    if isinstance(layer, Conv1dSpec):
-        record.update(kernel=layer.kernel, filters=layer.filters)
-    elif isinstance(layer, Pool1dSpec):
-        record.update(factor=layer.factor)
-    elif isinstance(layer, Conv2dSpec):
-        record.update(kernel=layer.kernel, filters=layer.filters, stride=layer.stride)
-    elif isinstance(layer, Pool2dSpec):
-        record.update(window=layer.window, stride=layer.stride)
-    elif isinstance(layer, DenseSpec):
-        record.update(width=layer.width)
-    return record
-
-
-def _layer_from_json(record: dict):
-    tag = record.get("type")
-    if tag == "conv1d":
-        return Conv1dSpec(record["kernel"], record["filters"])
-    if tag == "pool1d":
-        return Pool1dSpec(record["factor"])
-    if tag == "conv2d":
-        return Conv2dSpec(record["kernel"], record["filters"], record.get("stride", 1))
-    if tag == "pool2d":
-        return Pool2dSpec(record["window"], record["stride"])
-    if tag == "flatten":
-        return FlattenSpec()
-    if tag == "dense":
-        return DenseSpec(record["width"])
-    raise ConfigError(f"unknown layer type {tag!r}")
+def _layer_from_json(record) -> LayerSpec:
+    if not isinstance(record, dict):
+        raise ConfigError(f"layer record must be a JSON object, got {record!r}")
+    values = dict(record)
+    tag = values.pop("type", None)
+    if tag not in _LAYER_TYPES:
+        raise ConfigError(f"unknown layer type {tag!r}")
+    try:
+        return _LAYER_TYPES[tag](**values)
+    except TypeError as exc:
+        raise ConfigError(f"{tag} layer record {record}: {exc}") from exc
 
 
 def spec_to_json(spec: NetworkSpec) -> str:
-    doc = {
-        "vision_input": list(spec.vision_input),
-        "sound_input": list(spec.sound_input),
-        "text_input": list(spec.text_input),
-        "vision_layers": [_layer_to_json(l) for l in spec.vision_layers],
-        "sound_layers": [_layer_to_json(l) for l in spec.sound_layers],
-        "text_layers": [_layer_to_json(l) for l in spec.text_layers],
-        "shared_widths": list(spec.shared_widths),
-        "output_dim": spec.output_dim,
-        "bottleneck_dim": spec.bottleneck_dim,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """Every NetworkSpec field; a layer is written as ``{"type": tag, **fields}``."""
+    return json.dumps(vars(spec), sort_keys=True, indent=2, default=_Layer.to_json)
 
 
 def spec_from_json(text: str) -> NetworkSpec:
     doc = json.loads(text)
-    try:
-        return NetworkSpec(
-            vision_input=tuple(doc["vision_input"]),
-            sound_input=tuple(doc["sound_input"]),
-            text_input=tuple(doc["text_input"]),
-            vision_layers=tuple(_layer_from_json(r) for r in doc["vision_layers"]),
-            sound_layers=tuple(_layer_from_json(r) for r in doc["sound_layers"]),
-            text_layers=tuple(_layer_from_json(r) for r in doc["text_layers"]),
-            shared_widths=tuple(doc["shared_widths"]),
-            output_dim=doc["output_dim"],
-            bottleneck_dim=doc["bottleneck_dim"],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"network spec JSON missing field {exc}") from exc
+    values = {}
+    for f in fields(NetworkSpec):
+        if f.name not in doc:
+            raise ConfigError(f"network spec JSON missing field {f.name!r}")
+        value = doc[f.name]
+        if f.name.endswith("_layers"):
+            value = tuple(_layer_from_json(r) for r in value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        values[f.name] = value
+    return NetworkSpec(**values)

@@ -148,7 +148,7 @@ def train(spec: NetworkSpec, data: DatasetHandles, cfg: TrainConfig,
     for iteration in range(start_iteration, cfg.iterations):
         batch = schedule_batch(data, cfg.batch_size, cfg.seed, iteration)
         try:
-            loss, terms = combined_loss(batch, params, data.teacher, cfg.loss)
+            loss, terms = combined_loss(batch, params, cfg.loss)
         except NumericError as exc:
             raise NumericError(f"iteration {iteration}: {exc}") from exc
         for term, value in terms.items():
@@ -217,6 +217,16 @@ def save_checkpoint(directory, params: ModelParams, state: OptimizerState) -> Pa
     return directory
 
 
+def _load_blob(directory: Path, name: str, kind: str, shape: tuple[int, ...]) -> np.ndarray:
+    blob = directory / _blob_name(name, kind)
+    if not blob.exists():
+        raise DataFormatError(f"checkpoint blob missing: {blob.name}")
+    data = load_tensor(blob)
+    if data.shape != shape:
+        raise ContractError(f"tensor {blob.name} has shape {data.shape}, spec expects {shape}")
+    return data
+
+
 def load_checkpoint(directory, expected_spec: NetworkSpec | None = None
                     ) -> tuple[NetworkSpec, ModelParams, OptimizerState]:
     directory = Path(directory)
@@ -229,28 +239,25 @@ def load_checkpoint(directory, expected_spec: NetworkSpec | None = None
         raise DataFormatError(f"corrupt checkpoint manifest {manifest_path}: {exc}") from exc
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise DataFormatError(f"{manifest_path}: unknown checkpoint format {doc.get('format')!r}")
+    absent = [key for key in ("step", "spec", "tensors") if key not in doc]
+    if absent:
+        raise DataFormatError(f"{manifest_path}: checkpoint manifest has no {', '.join(absent)}")
     spec = spec_from_json(json.dumps(doc["spec"]))
     expected_shapes = parameter_shapes(expected_spec or spec)
 
-    tensors: dict[str, Tensor] = {}
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
     names = doc["tensors"]
     if set(names) != set(expected_shapes):
         missing = sorted(set(expected_shapes) - set(names))
-        raise ContractError(f"checkpoint does not match spec: missing tensors {missing}")
-    for name in expected_shapes:
-        blob = directory / _blob_name(name, "")
-        if not blob.exists():
-            raise DataFormatError(f"checkpoint blob missing: {blob.name}")
-        data = load_tensor(blob)
-        if data.shape != expected_shapes[name]:
-            raise ContractError(
-                f"tensor {name} has shape {data.shape}, spec expects {expected_shapes[name]}"
-            )
-        tensors[name] = Tensor(data, requires_grad=True)
-        m[name] = load_tensor(directory / _blob_name(name, "m"))
-        v[name] = load_tensor(directory / _blob_name(name, "v"))
+        extra = sorted(set(names) - set(expected_shapes))
+        raise ContractError(
+            f"checkpoint does not match spec: missing tensors {missing}, extra tensors {extra}")
+    tensors: dict[str, Tensor] = {}
+    m: dict[str, np.ndarray] = {}
+    v: dict[str, np.ndarray] = {}
+    for name, shape in expected_shapes.items():
+        tensors[name] = Tensor(_load_blob(directory, name, "", shape), requires_grad=True)
+        m[name] = _load_blob(directory, name, "m", shape)
+        v[name] = _load_blob(directory, name, "v", shape)
     params = ModelParams(spec=expected_spec or spec, tensors=tensors)
     state = OptimizerState(m=m, v=v, step=int(doc["step"]))
     return params.spec, params, state

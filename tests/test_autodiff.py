@@ -448,3 +448,19 @@ def test_determinism_bitwise_repeat():
     second = run()
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def test_conv1d_data_input_gets_same_kernel_grad():
+    # A data batch (no requires_grad) gets no dx, and the kernel and bias
+    # gradients are bitwise those of a run where the input needs one.
+    rng = np.random.default_rng(7)
+    x, k, b = rng.normal(size=(2, 3, 20)), rng.normal(size=(4, 3, 5)), rng.normal(size=4)
+    grads = []
+    for x_needs_grad in (True, False):
+        xt = Tensor(x, requires_grad=x_needs_grad)
+        kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+        ad.mean_all(ad.relu(ad.conv1d_same(xt, kt, bt))).backward()
+        assert (xt.grad is not None) == x_needs_grad
+        grads.append((kt.grad, bt.grad))
+    for with_dx, without_dx in zip(*grads):
+        assert np.array_equal(with_dx, without_dx)

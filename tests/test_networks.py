@@ -1,11 +1,16 @@
 """Architecture conformance, parameter init, forward taps, trunk sharing."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from crossmodal import networks as nets
 from crossmodal.autodiff import backward
 from crossmodal.errors import ConfigError, ShapeError
+
+from conftest import make_tiny_spec
 
 
 def test_paper_sound_pathway_shapes():
@@ -110,9 +115,6 @@ def test_forward_rejects_malformed_sample(tiny_spec_params):
     spec, params = tiny_spec_params
     with pytest.raises(ShapeError):
         nets.forward_batch(params, np.zeros((2, 3, 4)), "sound")
-    with pytest.raises(ConfigError):
-        nets.forward_batch(params, np.zeros((2, *spec.sound_input)), "sound",
-                           taps=("nonexistent",))
 
 
 def test_identical_samples_identical_embeddings(tiny_spec_params):
@@ -144,6 +146,54 @@ def test_shared_trunk_is_literally_shared(tiny_spec_params):
 def test_spec_json_roundtrip():
     for spec in (nets.default_paper_spec(), nets.desk_spec(1 / 16)):
         assert nets.spec_from_json(nets.spec_to_json(spec)) == spec
+    # Checkpoints store this JSON and name their blobs after these parameters,
+    # so both are pinned: a checkpoint written by an older build must load.
+    pinned = {
+        nets.desk_spec(1 / 16): "2b92751e702c99b82a0a8088bc64e76c4c67eaca9623d6163f3552060ece6886",
+        nets.default_paper_spec(): "5029b2d218d011c1aef6d4dba4e748c694f3dfe62d6436ad696b0cc20d98bbbd",
+    }
+    for spec, digest in pinned.items():
+        assert hashlib.sha256(nets.spec_to_json(spec).encode()).hexdigest() == digest
+    assert list(nets.parameter_shapes(make_tiny_spec()).items()) == [
+        ("image.conv1.kernels", (4, 2, 3, 3)), ("image.conv1.bias", (4,)),
+        ("image.fc1.weight", (64, 24)), ("image.fc1.bias", (24,)),
+        ("sound.conv1.kernels", (4, 5, 3)), ("sound.conv1.bias", (4,)),
+        ("sound.fc1.weight", (16, 24)), ("sound.fc1.bias", (24,)),
+        ("text.conv1.kernels", (4, 6, 3)), ("text.conv1.bias", (4,)),
+        ("text.fc1.weight", (32, 24)), ("text.fc1.bias", (24,)),
+        ("shared.fc1.weight", (24, 12)), ("shared.fc1.bias", (12,)),
+        ("shared.fc2.weight", (12, 10)), ("shared.fc2.bias", (10,)),
+        ("shared.out.weight", (10, 6)), ("shared.out.bias", (6,)),
+    ]
+
+
+# Where each layer type sits in the tiny spec: (pathway field, index).
+_TINY_SLOT = {"conv2d": ("vision_layers", 0), "pool2d": ("vision_layers", 1),
+              "conv1d": ("sound_layers", 0), "pool1d": ("sound_layers", 1),
+              "dense": ("sound_layers", 3)}
+
+
+@pytest.mark.parametrize("record, bad_field", [
+    ({"type": "pool1d", "factor": 0}, "factor"),
+    ({"type": "conv1d", "kernel": 0, "filters": 4}, "kernel"),
+    ({"type": "conv1d", "kernel": -3, "filters": 4}, "kernel"),
+    ({"type": "conv1d", "kernel": 3, "filters": 0}, "filters"),
+    ({"type": "conv2d", "kernel": 3, "filters": 4, "stride": 0}, "stride"),
+    ({"type": "pool2d", "window": 0, "stride": 2}, "window"),
+    ({"type": "pool2d", "window": 2, "stride": -1}, "stride"),
+    ({"type": "dense", "width": 0}, "width"),
+    ({"type": "conv1d", "kernel": 3}, "filters"),
+    ({"type": "conv2d", "kernel": 3, "filters": 4}, None),
+])
+def test_layer_record_fields_validated(record, bad_field):
+    doc = json.loads(nets.spec_to_json(make_tiny_spec()))
+    pathway, index = _TINY_SLOT[record["type"]]
+    doc[pathway][index] = record
+    if bad_field is None:  # conv2d records written without a stride load with stride 1
+        assert nets.spec_from_json(json.dumps(doc)) == make_tiny_spec()
+        return
+    with pytest.raises(ConfigError, match=f"{record['type']} layer.*{bad_field}"):
+        nets.spec_from_json(json.dumps(doc))
 
 
 def test_bad_pathway_bottleneck_rejected():

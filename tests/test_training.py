@@ -1,11 +1,14 @@
 """Adam correctness, loop determinism, checkpoint round trips, resume splice."""
 
+import json
+
 import numpy as np
 import pytest
 
 from crossmodal import networks as nets
 from crossmodal.autodiff import Tensor
 from crossmodal.errors import ConfigError, ContractError, DataFormatError, NumericError
+from crossmodal.formats import save_tensor
 from crossmodal.losses import LossConfig
 from crossmodal.training import (
     OptimizerState,
@@ -159,6 +162,49 @@ def test_checkpoint_missing_blob_named(tmp_path):
     (tmp_path / "ck" / "image.conv1.kernels.tnsr").unlink()
     with pytest.raises(DataFormatError, match="image.conv1.kernels"):
         load_checkpoint(tmp_path / "ck")
+
+
+def _tiny_checkpoint(path):
+    params = nets.init_params(make_tiny_spec(), seed=0)
+    return save_checkpoint(path, params, OptimizerState.for_params(params))
+
+
+def _edit_manifest(ck, edit):
+    doc = json.loads((ck / "checkpoint.json").read_text())
+    edit(doc)
+    (ck / "checkpoint.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["m", "v"])
+def test_checkpoint_missing_moment_blob_named(tmp_path, kind):
+    ck = _tiny_checkpoint(tmp_path / "ck")
+    (ck / f"sound.fc1.weight.{kind}.tnsr").unlink()
+    with pytest.raises(DataFormatError, match=rf"blob missing: sound\.fc1\.weight\.{kind}\.tnsr"):
+        load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("kind", ["m", "v"])
+def test_checkpoint_moment_shape_checked(tmp_path, kind):
+    ck = _tiny_checkpoint(tmp_path / "ck")
+    save_tensor(ck / f"image.conv1.kernels.{kind}.tnsr", np.zeros((4, 2, 3)))
+    with pytest.raises(ContractError, match=rf"image\.conv1\.kernels\.{kind}\.tnsr has shape"):
+        load_checkpoint(ck)
+
+
+def test_checkpoint_extra_tensor_names_listed(tmp_path):
+    ck = _tiny_checkpoint(tmp_path / "ck")
+    _edit_manifest(ck, lambda doc: doc["tensors"].append("sound.fc9.weight"))
+    with pytest.raises(ContractError,
+                       match=r"missing tensors \[\], extra tensors \['sound\.fc9\.weight'\]"):
+        load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("key", ["step", "spec", "tensors"])
+def test_checkpoint_manifest_key_missing(tmp_path, key):
+    ck = _tiny_checkpoint(tmp_path / "ck")
+    _edit_manifest(ck, lambda doc: doc.pop(key))
+    with pytest.raises(DataFormatError, match=rf"checkpoint\.json: .*{key}"):
+        load_checkpoint(ck)
 
 
 def test_checkpoint_corrupt_manifest(tmp_path):
