@@ -26,8 +26,8 @@ chance = (len(held_out) + 1) / 2
 
 
 def report(tag, params):
-    res = ev.bridge_transfer_eval(params, sounds, texts, pairs,
-                                  n_splits=1, split_size=len(held_out), seed=0)
+    res = ev.bridge_transfer_eval(ev.embed_all(params, sounds), ev.embed_all(params, texts),
+                                  pairs, n_splits=1, split_size=len(held_out), seed=0)
     for direction, r in res.items():
         print(f"  {tag:<10} {direction:<12} median rank {r.average_median_rank:6.1f} "
               f"(chance {chance:.1f})")

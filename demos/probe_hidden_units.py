@@ -22,11 +22,12 @@ print("training a small model ...")
 result = train(spec, handles, TrainConfig(seed=0, learning_rate=3e-3, batch_size=8,
                                           iterations=300, loss=LossConfig()))
 
-samples = [s for t in dataset.triples for s in (t.image, t.sound, t.text)]
 concept_of = dataset.labels
 
 # find the most concept-selective units in the last hidden layer
-listings = ev.probe_units(result.params, samples, layer="shared2", k=5)
+vectors = {m: ev.embed_all(result.params, [getattr(t, m) for t in dataset.triples], "shared2")
+           for m in ("image", "sound", "text")}
+listings = ev.probe_units(vectors, k=5)
 scored = []
 for unit, by_modality in listings.items():
     top_concepts = [concept_of[sid] for mod in by_modality.values() for sid, _ in mod]

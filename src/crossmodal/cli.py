@@ -31,7 +31,7 @@ from .errors import (
     ShapeError,
 )
 from .losses import LossConfig
-from .networks import default_paper_spec, desk_spec
+from .networks import MODALITIES, default_paper_spec, desk_spec
 from .training import TrainConfig, load_checkpoint, train, write_trajectory_csv
 
 EVAL_TASKS = ("retrieval", "bridge", "zero-shot", "baseline", "probe")
@@ -161,106 +161,94 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_retrieval(params, dataset, cfg_doc, out, summary) -> list[str]:
+def _eval_retrieval(emb, dataset, cfg_doc, out, summary) -> list[str]:
     trips = dataset.triple_samples("test")
-    n_splits = cfg_doc.get("n_splits", 1)
-    split_size = cfg_doc.get("split_size", len(trips))
-    seed = cfg_doc["seed"]
     layer = cfg_doc.get("layer", ev.DEFAULT_LAYER)
     results = []
     for src, dst in (("image", "sound"), ("sound", "image"),
                      ("image", "text"), ("text", "image")):
         pairs = [(t[src].id, t[dst].id) for t in trips]
-        res = ev.retrieval_between(params, [t[src] for t in trips],
-                                   [t[dst] for t in trips], pairs,
-                                   n_splits, split_size, seed, layer,
-                                   direction=f"{src}->{dst}")
+        res = ev.median_rank_retrieval(
+            emb["test", src][layer], emb["test", dst][layer], pairs,
+            cfg_doc.get("n_splits", 1), cfg_doc.get("split_size", len(trips)),
+            cfg_doc["seed"], direction=f"{src}->{dst}")
         results.append(res)
         summary.setdefault("retrieval", {})[res.direction] = res.average_median_rank
     ev.write_ranks_csv(out / "retrieval_ranks.csv", results)
     return ["retrieval_ranks.csv"]
 
 
-def _eval_bridge(params, dataset, cfg_doc, out, summary) -> list[str]:
+def _eval_bridge(emb, dataset, cfg_doc, out, summary) -> list[str]:
     trips = dataset.triple_samples("test")
+    layer = cfg_doc.get("layer", ev.DEFAULT_LAYER)
     pairs = [(t["sound"].id, t["text"].id) for t in trips]
     res = ev.bridge_transfer_eval(
-        params, [t["sound"] for t in trips], [t["text"] for t in trips], pairs,
-        cfg_doc.get("n_splits", 1), cfg_doc.get("split_size", len(trips)),
-        cfg_doc["seed"], cfg_doc.get("layer", ev.DEFAULT_LAYER))
+        emb["test", "sound"][layer], emb["test", "text"][layer], pairs,
+        cfg_doc.get("n_splits", 1), cfg_doc.get("split_size", len(trips)), cfg_doc["seed"])
     for direction, r in res.items():
         summary.setdefault("bridge", {})[direction] = r.average_median_rank
     ev.write_ranks_csv(out / "bridge_ranks.csv", list(res.values()))
     return ["bridge_ranks.csv"]
 
 
-def _eval_zero_shot(params, dataset, cfg_doc, out, summary) -> list[str]:
+def _eval_zero_shot(emb, dataset, cfg_doc, out, summary) -> list[str]:
     if dataset.labels is None:
         raise ConfigError("task zero-shot needs labels.csv next to the manifest")
-    train_trips = dataset.triple_samples("train")
-    test_trips = dataset.triple_samples("test")
-    n_classes = max(dataset.labels.values()) + 1
+    layer = cfg_doc.get("layer", ev.DEFAULT_LAYER)
+    tests = {m: emb["test", m][layer] for m in MODALITIES}
     results = []
-    for train_mod in ("image", "sound", "text"):
-        for test_mod in ("image", "sound", "text"):
-            res = ev.zero_shot_transfer(
-                params,
-                [t[train_mod] for t in train_trips], dataset.labels,
-                [t[test_mod] for t in test_trips], dataset.labels,
-                n_classes,
-                layer=cfg_doc.get("layer", ev.DEFAULT_LAYER),
-                c_grid=tuple(cfg_doc.get("svm_c_grid", ev.DEFAULT_C_GRID)),
-                seed=cfg_doc["seed"],
-                iterations=cfg_doc.get("svm_iterations", 300),
-            )
-            results.append(res)
-            summary.setdefault("zero_shot", {})[f"{train_mod}->{test_mod}"] = res.accuracy
+    for train_mod in MODALITIES:
+        results.extend(ev.zero_shot_transfer(
+            train_mod, emb["train", train_mod][layer], tests, dataset.labels,
+            max(dataset.labels.values()) + 1,
+            c_grid=tuple(cfg_doc.get("svm_c_grid", ev.DEFAULT_C_GRID)),
+            seed=cfg_doc["seed"], iterations=cfg_doc.get("svm_iterations", 300)))
+    for res in results:
+        summary.setdefault("zero_shot", {})[f"{res.train_modality}->{res.test_modality}"] = \
+            res.accuracy
     ev.write_accuracies_csv(out / "accuracies.csv", results)
     return ["accuracies.csv"]
 
 
-def _eval_baseline(params, dataset, cfg_doc, out, summary) -> list[str]:
+def _eval_baseline(emb, dataset, cfg_doc, out, summary) -> list[str]:
     layer = "bottleneck"  # modality-specific features, mapped into vision space
-    lam = cfg_doc.get("ridge_lambda", 1e-3)
     train_trips = dataset.triple_samples("train")
     test_trips = dataset.triple_samples("test")
     results = []
     for src in ("sound", "text"):
-        train_src = ev.embed_all(params, [t[src] for t in train_trips], layer)
-        train_img = ev.embed_all(params, [t["image"] for t in train_trips], layer)
-        test_src = ev.embed_all(params, [t[src] for t in test_trips], layer)
-        test_img = ev.embed_all(params, [t["image"] for t in test_trips], layer)
         train_pairs = [(t[src].id, t["image"].id) for t in train_trips]
         test_pairs = [(t[src].id, t["image"].id) for t in test_trips]
         res = ev.baseline_retrieval(
-            train_src, train_img, train_pairs, test_src, test_img, test_pairs,
+            emb["train", src][layer], emb["train", "image"][layer], train_pairs,
+            emb["test", src][layer], emb["test", "image"][layer], test_pairs,
             cfg_doc.get("n_splits", 1), cfg_doc.get("split_size", len(test_trips)),
-            cfg_doc["seed"], lam, direction=f"{src}->image (ridge)")
+            cfg_doc["seed"], cfg_doc.get("ridge_lambda", 1e-3),
+            direction=f"{src}->image (ridge)")
         results.append(res)
         summary.setdefault("baseline", {})[res.direction] = res.average_median_rank
     ev.write_ranks_csv(out / "baseline_ranks.csv", results)
     return ["baseline_ranks.csv"]
 
 
-def _eval_probe(params, dataset, cfg_doc, out, summary) -> list[str]:
-    trips = dataset.triple_samples("test")
-    samples = [s for t in trips for s in t.values()]
+def _eval_probe(emb, dataset, cfg_doc, out, summary) -> list[str]:
+    layer = cfg_doc.get("layer", ev.DEFAULT_LAYER)
     k = cfg_doc.get("probe_k", 5)
     unit_limit = cfg_doc.get("probe_units")
-    units = range(unit_limit) if unit_limit else None
-    listings = ev.probe_units(params, samples, cfg_doc.get("layer", ev.DEFAULT_LAYER),
-                              k=k, units=units)
+    listings = ev.probe_units({m: emb["test", m][layer] for m in MODALITIES}, k=k,
+                              units=range(unit_limit) if unit_limit else None)
     ev.write_probe_csv(out / "probe.csv", listings)
     summary["probe"] = {"units": len(listings), "k": k}
     return ["probe.csv"]
 
 
+# Each task's runner and the (splits, modalities) of the embeddings it reads.
+_TEST, _BOTH = ("test",), ("train", "test")
 _TASK_RUNNERS = {
-    "retrieval": _eval_retrieval,
-    "bridge": _eval_bridge,
-    "zero-shot": _eval_zero_shot,
-    "baseline": _eval_baseline,
-    "probe": _eval_probe,
+    "retrieval": (_eval_retrieval, _TEST, MODALITIES),
+    "bridge": (_eval_bridge, _TEST, ("sound", "text")),
+    "zero-shot": (_eval_zero_shot, _BOTH, MODALITIES),
+    "baseline": (_eval_baseline, _BOTH, MODALITIES),
+    "probe": (_eval_probe, _TEST, MODALITIES),
 }
 
 
@@ -272,6 +260,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"unknown eval tasks {unknown}; valid tasks are: {', '.join(EVAL_TASKS)}"
         )
+    ev.check_tap(doc.get("layer", ev.DEFAULT_LAYER))
     _, params, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     if not dataset.pair_ids("test"):
@@ -279,11 +268,17 @@ def cmd_eval(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
+    # One forward per (split, modality) batch gives every tap for every task.
+    needed = sorted({(split, m) for t in tasks for split in _TASK_RUNNERS[t][1]
+                     for m in _TASK_RUNNERS[t][2]})
+    emb = {(split, m): ev.embed_taps(params, [t[m] for t in dataset.triple_samples(split)])
+           for split, m in needed}
+
     summary: dict = {"config": doc, "tasks": tasks,
                      "full_scale_reference": ev.FULL_SCALE_REFERENCE}
     artifacts: list[str] = []
     for task in tasks:
-        artifacts.extend(_TASK_RUNNERS[task](params, dataset, doc, out, summary))
+        artifacts.extend(_TASK_RUNNERS[task][0](emb, dataset, doc, out, summary))
     ev.write_summary_json(out / "summary.json", summary)
     artifacts.append("summary.json")
     _write_run_manifest(out, "eval", args, doc["seed"], artifacts)

@@ -1,6 +1,11 @@
 """Evaluation: cross-modal retrieval, bridge transfer, zero-shot classifier
 transfer, a ridge-regression baseline, and hidden-unit probing.
 
+Embed once, evaluate many: ``embed_taps`` runs one forward per batch and
+keeps every tap, so an eval embeds each (split, modality) once and every
+task reads vectors from that table. Zero-shot transfer fits its classifiers
+once per training modality and scores every test modality with them.
+
 Retrieval reports the average median rank over seeded splits: queries are
 standardized per dimension (statistics from the query split only), candidates
 ranked by cosine similarity, ties broken by sample id so every number is
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import Tensor
 from .data import Sample
 from .errors import ConfigError, ContractError, DegenerateInputError
 from .networks import ModelParams, TAP_NAMES, forward_batch
@@ -55,16 +61,15 @@ FULL_SCALE_REFERENCE = {
 }
 
 
-def embed_all(params: ModelParams, samples: list[Sample], layer: str = DEFAULT_LAYER,
-              standardize: bool = False) -> dict[str, np.ndarray]:
-    """One representation vector per sample, keyed by id.
+def embed_taps(params: ModelParams, samples: list[Sample]) -> dict[str, dict[str, np.ndarray]]:
+    """One representation vector per sample at every tap: {tap: {id: vector}}.
 
-    With standardize=True the whole returned set is z-scored per dimension
-    (that is how query sides are prepared for retrieval).
+    Samples are grouped by modality in their given order and embedded
+    EMBED_BATCH at a time, one forward per batch. The forward runs on a
+    graph-free view of the parameters, so no intermediate outlives its use.
     """
-    if layer not in TAP_NAMES:
-        raise ConfigError(f"unknown tap {layer!r}; valid taps are {TAP_NAMES}")
-    vectors: dict[str, np.ndarray] = {}
+    frozen = ModelParams(params.spec, {n: Tensor(t.data) for n, t in params.items()})
+    taps: dict[str, dict[str, np.ndarray]] = {tap: {} for tap in TAP_NAMES}
     by_modality: dict[str, list[Sample]] = {}
     for s in samples:
         by_modality.setdefault(s.modality, []).append(s)
@@ -72,14 +77,22 @@ def embed_all(params: ModelParams, samples: list[Sample], layer: str = DEFAULT_L
         for lo in range(0, len(group), EMBED_BATCH):
             chunk = group[lo:lo + EMBED_BATCH]
             arr = np.stack([s.payload for s in chunk]).astype(np.float64)
-            acts = forward_batch(params, arr, modality)[layer].data
-            for s, vec in zip(chunk, acts):
-                vectors[s.id] = vec.copy()
-    if standardize:
-        ids = list(vectors)
-        matrix = standardize_features(np.stack([vectors[i] for i in ids]))
-        vectors = {i: row for i, row in zip(ids, matrix)}
-    return vectors
+            for tap, acts in forward_batch(frozen, arr, modality).items():
+                taps[tap].update(zip((s.id for s in chunk), acts.data))
+    return taps
+
+
+def check_tap(layer: str) -> None:
+    """Raise a ConfigError unless ``layer`` names a tap."""
+    if layer not in TAP_NAMES:
+        raise ConfigError(f"unknown tap {layer!r}; valid taps are {TAP_NAMES}")
+
+
+def embed_all(params: ModelParams, samples: list[Sample],
+              layer: str = DEFAULT_LAYER) -> dict[str, np.ndarray]:
+    """One representation vector per sample at one tap, keyed by id."""
+    check_tap(layer)
+    return embed_taps(params, samples)[layer]
 
 
 def standardize_features(matrix: np.ndarray) -> np.ndarray:
@@ -89,11 +102,11 @@ def standardize_features(matrix: np.ndarray) -> np.ndarray:
     return (matrix - mean) / (std + 1e-12)
 
 
-def _cosine_matrix(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _cosine_matrix(queries: np.ndarray, targets: np.ndarray, where: str) -> np.ndarray:
     qn = np.sqrt((queries * queries).sum(axis=1))
     tn = np.sqrt((targets * targets).sum(axis=1))
     if (qn == 0).any() or (tn == 0).any():
-        raise DegenerateInputError("zero-norm embedding row in retrieval")
+        raise DegenerateInputError(f"zero-norm embedding row in retrieval {where}")
     return (queries / qn[:, None]) @ (targets / tn[:, None]).T
 
 
@@ -148,35 +161,23 @@ def median_rank_retrieval(queries: dict[str, np.ndarray], targets: dict[str, np.
         t = np.stack([targets[tid] for _, tid in chunk])
         if standardize_queries:
             q = standardize_features(q)
-        sims = _cosine_matrix(q, t)
+        sims = _cosine_matrix(q, t, f"{direction or '(unnamed)'}, split {s}")
         ranks = _ranks_with_id_ties(sims, [tid for _, tid in chunk])
         medians.append(float(np.median(ranks)))
         all_ranks.append(ranks)
     return RetrievalResult(direction, medians, float(np.mean(medians)), split_size, all_ranks)
 
 
-def retrieval_between(params: ModelParams, query_samples: list[Sample],
-                      target_samples: list[Sample], pairs, n_splits: int,
-                      split_size: int, seed: int, layer: str = DEFAULT_LAYER,
-                      direction: str = "") -> RetrievalResult:
-    q = embed_all(params, query_samples, layer)
-    t = embed_all(params, target_samples, layer)
-    return median_rank_retrieval(q, t, pairs, n_splits, split_size, seed, direction)
-
-
-def bridge_transfer_eval(params: ModelParams, sound_samples: list[Sample],
-                         text_samples: list[Sample], pairs: list[tuple[str, str]],
-                         n_splits: int, split_size: int, seed: int,
-                         layer: str = DEFAULT_LAYER) -> dict[str, RetrievalResult]:
+def bridge_transfer_eval(sound: dict[str, np.ndarray], text: dict[str, np.ndarray],
+                         pairs: list[tuple[str, str]], n_splits: int, split_size: int,
+                         seed: int) -> dict[str, RetrievalResult]:
     """Sound<->text retrieval through the shared space. The ground-truth
     pairing exists only here, at evaluation time; training never saw it."""
-    snd = embed_all(params, sound_samples, layer)
-    txt = embed_all(params, text_samples, layer)
     reverse = [(t, s) for s, t in pairs]
     return {
-        "sound->text": median_rank_retrieval(snd, txt, pairs, n_splits, split_size,
+        "sound->text": median_rank_retrieval(sound, text, pairs, n_splits, split_size,
                                              seed, "sound->text"),
-        "text->sound": median_rank_retrieval(txt, snd, reverse, n_splits, split_size,
+        "text->sound": median_rank_retrieval(text, sound, reverse, n_splits, split_size,
                                              seed, "text->sound"),
     }
 
@@ -208,22 +209,22 @@ class ZeroShotResult:
     best_c: float
 
 
-def zero_shot_transfer(params: ModelParams, train_samples: list[Sample],
-                       train_labels: dict[str, int], test_samples: list[Sample],
-                       test_labels: dict[str, int], n_classes: int,
-                       layer: str = DEFAULT_LAYER, c_grid=DEFAULT_C_GRID,
-                       seed: int = 0, iterations: int = 300) -> ZeroShotResult:
+def zero_shot_transfer(train_modality: str, train: dict[str, np.ndarray],
+                       tests: dict[str, dict[str, np.ndarray]], labels: dict[str, int],
+                       n_classes: int, c_grid=DEFAULT_C_GRID, seed: int = 0,
+                       iterations: int = 300) -> list[ZeroShotResult]:
     """Fit one-vs-all linear classifiers on one modality's representations and
-    score them on another's. C is chosen by two-fold cross validation on the
-    training set; features are standardized with training statistics only."""
-    y_train = np.array([train_labels[s.id] for s in train_samples])
+    score them on each test modality's, in the order of ``tests``. C is chosen
+    by two-fold cross validation on the training set, whose folds follow the
+    order of ``train``; features are standardized with training statistics
+    only."""
+    y_train = np.array([labels[i] for i in train])
     present = set(int(v) for v in y_train)
     missing = sorted(set(range(n_classes)) - present)
     if missing:
         raise ConfigError(f"classes missing from training set: {missing}")
 
-    train_vecs = embed_all(params, train_samples, layer)
-    x_train = np.stack([train_vecs[s.id] for s in train_samples])
+    x_train = np.stack(list(train.values()))
     mean = x_train.mean(axis=0)
     std = x_train.std(axis=0) + 1e-12
     z_train = np.hstack([(x_train - mean) / std, np.ones((len(x_train), 1))])
@@ -244,15 +245,15 @@ def zero_shot_transfer(params: ModelParams, train_samples: list[Sample],
             best_acc, best_c = acc, c_value
 
     weights = _hinge_ova_fit(z_train, y_train, n_classes, best_c, iterations)
-    test_vecs = embed_all(params, test_samples, layer)
-    x_test = np.stack([test_vecs[s.id] for s in test_samples])
-    z_test = np.hstack([(x_test - mean) / std, np.ones((len(x_test), 1))])
-    pred = np.argmax(z_test @ weights.T, axis=1)
-    y_test = np.array([test_labels[s.id] for s in test_samples])
-    accuracy = float((pred == y_test).mean())
-    train_modality = train_samples[0].modality
-    test_modality = test_samples[0].modality
-    return ZeroShotResult(train_modality, test_modality, accuracy, best_c)
+    results = []
+    for test_modality, test in tests.items():
+        x_test = np.stack(list(test.values()))
+        z_test = np.hstack([(x_test - mean) / std, np.ones((len(x_test), 1))])
+        pred = np.argmax(z_test @ weights.T, axis=1)
+        y_test = np.array([labels[i] for i in test])
+        accuracy = float((pred == y_test).mean())
+        results.append(ZeroShotResult(train_modality, test_modality, accuracy, best_c))
+    return results
 
 
 # -- linear regression baseline --------------------------------------------------
@@ -291,20 +292,20 @@ def baseline_retrieval(train_source: dict[str, np.ndarray], train_target: dict[s
 # -- hidden-unit probing ----------------------------------------------------------
 
 
-def probe_units(params: ModelParams, samples: list[Sample], layer: str = DEFAULT_LAYER,
-                k: int = 5, units=None) -> dict[int, dict[str, list[tuple[str, float]]]]:
-    """Per hidden unit, the top-k activating sample ids for each modality.
+def probe_units(vectors: dict[str, dict[str, np.ndarray]], k: int = 5,
+                units=None) -> dict[int, dict[str, list[tuple[str, float]]]]:
+    """Per hidden unit, the top-k activating sample ids for each modality,
+    given {modality: {id: vector}}.
 
     Ordering is by activation descending, ties by sample id; listings are
     deterministic across runs.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    vectors = embed_all(params, samples, layer)
     by_modality: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for modality in sorted(set(s.modality for s in samples)):
-        ids = np.array(sorted(s.id for s in samples if s.modality == modality))
-        acts = np.stack([vectors[i] for i in ids])
+    for modality in sorted(vectors):
+        ids = np.array(sorted(vectors[modality]))
+        acts = np.stack([vectors[modality][i] for i in ids])
         by_modality[modality] = (ids, acts)
 
     width = next(iter(by_modality.values()))[1].shape[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .autodiff import backward
 from .data import DatasetHandles, schedule_batch
-from .errors import ConfigError, ContractError, DataFormatError, NumericError
+from .errors import ConfigError, ContractError, DataFormatError, DegenerateInputError, NumericError
 from .formats import load_tensor, save_tensor
 from .losses import LossConfig, combined_loss
 from .networks import (
@@ -126,7 +127,8 @@ def train(spec: NetworkSpec, data: DatasetHandles, cfg: TrainConfig,
     Pass params/state/start_iteration from a loaded checkpoint to resume; the
     batch schedule is a pure function of (seed, iteration), so the spliced run
     matches an unbroken one exactly. Aborts with a NumericError naming the
-    offending term if any loss term goes non-finite.
+    offending term if any loss term goes non-finite, or the degenerate
+    input (a zero-norm row in a ranking cosine) the iteration met.
     """
     if not data.image_sound or not data.image_text:
         raise ConfigError("training data must provide image+sound and image+text pairs")
@@ -149,7 +151,7 @@ def train(spec: NetworkSpec, data: DatasetHandles, cfg: TrainConfig,
         batch = schedule_batch(data, cfg.batch_size, cfg.seed, iteration)
         try:
             loss, terms = combined_loss(batch, params, cfg.loss)
-        except NumericError as exc:
+        except (NumericError, DegenerateInputError) as exc:
             raise NumericError(f"iteration {iteration}: {exc}") from exc
         for term, value in terms.items():
             if not np.isfinite(value):
@@ -198,22 +200,29 @@ def _blob_name(name: str, kind: str) -> str:
 
 
 def save_checkpoint(directory, params: ModelParams, state: OptimizerState) -> Path:
-    """Manifest JSON plus one tensor blob per parameter and Adam moment."""
+    """Manifest JSON plus one tensor blob per parameter and Adam moment.
+
+    An older manifest is removed before any blob is written, and the new one
+    is renamed into place after every blob, so a save that dies midway leaves
+    no loadable checkpoint.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = [name for name, _ in params.items()]
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "step": state.step,
-        "spec": json.loads(spec_to_json(params.spec)),
-        "tensors": names,
-    }
-    (directory / CHECKPOINT_FILE).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    manifest = directory / CHECKPOINT_FILE
+    manifest.unlink(missing_ok=True)
     for name, tensor in params.items():
         save_tensor(directory / _blob_name(name, ""), tensor.data)
         save_tensor(directory / _blob_name(name, "m"), state.m[name])
         save_tensor(directory / _blob_name(name, "v"), state.v[name])
+    doc = {
+        "format": CHECKPOINT_FORMAT,
+        "step": state.step,
+        "spec": json.loads(spec_to_json(params.spec)),
+        "tensors": [name for name, _ in params.items()],
+    }
+    partial = manifest.with_name(CHECKPOINT_FILE + ".partial")
+    partial.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    os.replace(partial, manifest)
     return directory
 
 

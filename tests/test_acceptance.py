@@ -78,8 +78,8 @@ def bridge_runs():
 
 def _bridge_ranks(params, held_out, seed=0):
     pairs = [(t.sound.id, t.text.id) for t in held_out]
-    res = ev.bridge_transfer_eval(params, [t.sound for t in held_out],
-                                  [t.text for t in held_out], pairs,
+    res = ev.bridge_transfer_eval(ev.embed_all(params, [t.sound for t in held_out]),
+                                  ev.embed_all(params, [t.text for t in held_out]), pairs,
                                   n_splits=1, split_size=len(held_out), seed=seed)
     return {k: r.average_median_rank for k, r in res.items()}
 
@@ -200,13 +200,14 @@ def test_criterion_4_random_baseline():
 def test_criterion_5_overfit(overfit_run):
     trips = overfit_run.dataset.triples
     params = overfit_run.result.params
+    vecs = {m: ev.embed_all(params, [getattr(t, m) for t in trips])
+            for m in ("image", "sound", "text")}
     ranks = {}
     for src, dst in (("image", "sound"), ("sound", "image"),
                      ("image", "text"), ("text", "image")):
         pairs = [(getattr(t, src).id, getattr(t, dst).id) for t in trips]
-        res = ev.retrieval_between(params, [getattr(t, src) for t in trips],
-                                   [getattr(t, dst) for t in trips], pairs,
-                                   n_splits=1, split_size=len(trips), seed=0)
+        res = ev.median_rank_retrieval(vecs[src], vecs[dst], pairs,
+                                       n_splits=1, split_size=len(trips), seed=0)
         ranks[f"{src}->{dst}"] = res.average_median_rank
     ok = all(r <= 2.0 for r in ranks.values()) and overfit_run.elapsed < 600.0
     _report(5, ok, f"overfit retrieval ranks {ranks}, "
@@ -252,16 +253,12 @@ def test_same_modality_sanity_floor(bridge_runs):
 
 
 def test_criterion_7_zero_shot(bridge_runs):
-    labels = bridge_runs.dataset.labels
-    train_imgs = [t.image for t in bridge_runs.train_triples]
-    test_sounds = [t.sound for t in bridge_runs.held_out]
-    test_imgs = [t.image for t in bridge_runs.held_out]
     params = bridge_runs.models["both"]
-
-    cross = ev.zero_shot_transfer(params, train_imgs, labels, test_sounds, labels,
-                                  n_classes=10, seed=0)
-    same = ev.zero_shot_transfer(params, train_imgs, labels, test_imgs, labels,
-                                 n_classes=10, seed=0)
+    train_imgs = ev.embed_all(params, [t.image for t in bridge_runs.train_triples])
+    tests = {m: ev.embed_all(params, [getattr(t, m) for t in bridge_runs.held_out])
+             for m in ("sound", "image")}
+    cross, same = ev.zero_shot_transfer("image", train_imgs, tests,
+                                        bridge_runs.dataset.labels, n_classes=10, seed=0)
     # the paper's chance line for its 42 categories: 1/42 = 2.38%, printed truncated as 2.3%
     assert ev.FULL_SCALE_REFERENCE["zero_shot_accuracy_percent"]["chance_42_categories"] \
         == math.floor(1000 / 42) / 10

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: artifacts, exit codes, bitwise reruns."""
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from crossmodal import evaluation as ev
+from crossmodal import networks as nets
+from crossmodal import training
 from crossmodal.cli import main
 
 WORLD = {
@@ -162,6 +167,59 @@ def test_eval_rerun_byte_identical(pipeline, tmp_path):
         assert outs[0][k] == outs[1][k], k
 
 
+# sha256 of the reports of an all-task eval of the pipeline below, taken
+# before evaluation embedded each (split, modality) once
+EVAL_REPORT_SHA256 = {
+    "accuracies.csv": "d8698fa0f0ebee4da6f537d02a9339475be94d3321132267d7ba70f451c8dc62",
+    "baseline_ranks.csv": "5263e9ef77a718192600ccddfe45afc01e28c6ac7506cdd4cb8c9f4c364e43e2",
+    "bridge_ranks.csv": "e2b1a6943fc9fbf21b9f6d26116b27eac9413607170227afddd6ca3598359b4c",
+    "probe.csv": "87db3cd020e20f95bbaf2cdb69dd8458cca49b7032810655c2b36a0474afe116",
+    "retrieval_ranks.csv": "2ecb0185d1bacbb5d815f72043da4a05193b195a2c8079adfd869c17a0c4ce9b",
+    "summary.json": "06e349ed9ab4137162ef46a667aab20f2e6ff60b86f3bcf8b3ee0feccb577c7b",
+}
+
+
+def test_eval_embeds_each_batch_once_and_fits_once_per_training_modality(
+        pipeline, tmp_path, monkeypatch):
+    root, data_dir, run_dir = pipeline
+    forwards, fits = [], []
+    forward, fit = ev.forward_batch, ev._hinge_ova_fit
+
+    def counted_forward(params, batch, modality):
+        forwards.append((modality, hashlib.sha256(batch).hexdigest()))
+        return forward(params, batch, modality)
+
+    def counted_fit(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(ev, "forward_batch", counted_forward)
+    monkeypatch.setattr(ev, "_hinge_ova_fit", counted_fit)
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", _write(root / "eval4.json", EVAL),
+                 "--data", str(data_dir / "manifest.csv"),
+                 "--checkpoint", str(run_dir / "checkpoint" / "final"),
+                 "--out", str(out)]) == 0
+
+    test_size = WORLD["test_size"]
+    batches = math.ceil((WORLD["triples"] - test_size) / ev.EMBED_BATCH) \
+        + math.ceil(test_size / ev.EMBED_BATCH)
+    assert len(forwards) == 3 * batches
+    assert len(set(forwards)) == len(forwards)
+    assert len(fits) == 3 * (2 * len(ev.DEFAULT_C_GRID) + 1)
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in _tree_bytes(out).items()} == EVAL_REPORT_SHA256
+
+
+def test_unknown_tap_exits_2(pipeline, tmp_path):
+    root, data_dir, run_dir = pipeline
+    eval_cfg = _write(root / "eval5.json", {**EVAL, "layer": "conv1"})
+    code = main(["eval", "--config", eval_cfg, "--data", str(data_dir / "manifest.csv"),
+                 "--checkpoint", str(run_dir / "checkpoint" / "final"),
+                 "--out", str(tmp_path / "x"), "--tasks", "baseline"])
+    assert code == 2
+
+
 def test_unknown_task_exits_2_listing_tasks(pipeline, tmp_path, capsys):
     root, data_dir, run_dir = pipeline
     eval_cfg = _write(root / "eval3.json", EVAL)
@@ -201,6 +259,22 @@ def test_numeric_abort_exits_4(pipeline, tmp_path):
     code = main(["train", "--config", train_cfg, "--data",
                  str(data_dir / "manifest.csv"), "--out", str(tmp_path / "r")])
     assert code == 4
+
+
+def test_degenerate_training_rows_exit_4(pipeline, tmp_path, monkeypatch, capsys):
+    root, data_dir, _ = pipeline
+
+    def zero_params(spec, seed, sigma):
+        params = nets.init_params(spec, seed, sigma)
+        for _, t in params.items():
+            t.data[...] = 0.0
+        return params
+
+    monkeypatch.setattr(training, "init_params", zero_params)
+    code = main(["train", "--config", str(root / "train.json"), "--data",
+                 str(data_dir / "manifest.csv"), "--out", str(tmp_path / "r")])
+    assert code == 4
+    assert "iteration 0" in capsys.readouterr().err
 
 
 def test_unknown_config_field_exits_2(pipeline, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from crossmodal import evaluation as ev
 from crossmodal import networks as nets
 from crossmodal.data import Sample
-from crossmodal.errors import ConfigError, ContractError
+from crossmodal.errors import ConfigError, ContractError, DegenerateInputError
 
 from conftest import make_tiny_spec
 
@@ -91,6 +91,15 @@ def test_rank_invariant_under_per_vector_rescaling():
     assert np.array_equal(base.ranks[0], scaled.ranks[0])
 
 
+def test_zero_norm_target_names_direction_and_split():
+    queries = _random_vectors(8, 4, 0, "x")
+    targets = {k: np.zeros(4) for k in queries}
+    pairs = [(k, k) for k in queries]
+    with pytest.raises(DegenerateInputError, match=r"image->sound, split 0"):
+        ev.median_rank_retrieval(queries, targets, pairs, 2, 4, seed=0,
+                                 direction="image->sound")
+
+
 def test_rank_ties_broken_by_id_order():
     # row 0: every candidate ties at similarity 1; true target is column 0
     # with id "b", and only "a" sorts before it, so its rank is 2
@@ -117,12 +126,44 @@ def test_embed_all_standardization_moments(tiny_spec_params):
     rng = np.random.default_rng(0)
     samples = [Sample("sound", rng.normal(size=spec.sound_input), f"s{i}")
                for i in range(12)]
-    vecs = ev.embed_all(params, samples, "shared2", standardize=True)
-    matrix = np.stack(list(vecs.values()))
+    vecs = ev.embed_all(params, samples, "shared2")
+    matrix = ev.standardize_features(np.stack(list(vecs.values())))
     assert np.abs(matrix.mean(axis=0)).max() < 1e-10
     active = matrix.std(axis=0) > 0
     assert np.abs(matrix.std(axis=0)[active] - 1.0).max() < 1e-6
     assert matrix.shape[1] == spec.shared_widths[-1]
+
+
+def test_embed_taps_one_forward_per_batch_for_every_tap(tiny_spec_params, monkeypatch):
+    spec, params = tiny_spec_params
+    rng = np.random.default_rng(2)
+    n_sound = ev.EMBED_BATCH + 6
+    samples = ([Sample("sound", rng.normal(size=spec.sound_input), f"s{i:03d}")
+                for i in range(n_sound)]
+               + [Sample("text", rng.normal(size=spec.text_input), f"t{i}") for i in range(3)])
+    calls = []
+
+    def counted(p, batch, modality):
+        # a graph-free view: the same arrays, with nothing to differentiate
+        assert all(t.data is params[n].data and not t.requires_grad for n, t in p.items())
+        calls.append((modality, len(batch)))
+        return nets.forward_batch(p, batch, modality)
+
+    monkeypatch.setattr(ev, "forward_batch", counted)
+    taps = ev.embed_taps(params, samples)
+    assert calls == [("sound", ev.EMBED_BATCH), ("sound", 6), ("text", 3)]
+    assert set(taps) == set(nets.TAP_NAMES)
+    sounds = samples[:n_sound]
+    for lo in range(0, n_sound, ev.EMBED_BATCH):
+        chunk = sounds[lo:lo + ev.EMBED_BATCH]
+        acts = nets.forward_batch(params, np.stack([s.payload for s in chunk]), "sound")
+        for tap in nets.TAP_NAMES:
+            assert np.array_equal(np.stack([taps[tap][s.id] for s in chunk]), acts[tap].data)
+    for tap in nets.TAP_NAMES:
+        vecs = ev.embed_all(params, samples, tap)
+        assert all(np.array_equal(vecs[s.id], taps[tap][s.id]) for s in samples)
+    with pytest.raises(ConfigError, match="unknown tap"):
+        ev.embed_all(params, samples, "conv1")
 
 
 def test_embed_all_identical_samples_identical_vectors(tiny_spec_params):
@@ -189,19 +230,45 @@ def _separable_samples(spec, n, concepts, seed, modality="sound"):
 
 def test_zero_shot_same_modality_separable_is_perfect(tiny_spec_params):
     spec, params = tiny_spec_params
-    train_s, train_l = _separable_samples(spec, 40, 4, seed=0)
-    test_s, test_l = _separable_samples(spec, 20, 4, seed=0)
-    res = ev.zero_shot_transfer(params, train_s, train_l, test_s, test_l, 4,
-                                layer="bottleneck", seed=0)
+    train_s, labels = _separable_samples(spec, 40, 4, seed=0)
+    test_s, _ = _separable_samples(spec, 20, 4, seed=0)
+    train = ev.embed_all(params, train_s, "bottleneck")
+    test = ev.embed_all(params, test_s, "bottleneck")
+    [res] = ev.zero_shot_transfer("sound", train, {"sound": test}, labels, 4, seed=0)
     assert res.accuracy == 1.0
     assert res.train_modality == res.test_modality == "sound"
+
+
+def test_zero_shot_scores_every_test_modality_with_one_fit(tiny_spec_params, monkeypatch):
+    spec, params = tiny_spec_params
+    train_s, labels = _separable_samples(spec, 30, 3, seed=4)
+    test_s, test_l = _separable_samples(spec, 15, 3, seed=5, modality="text")
+    train = ev.embed_all(params, train_s, "shared1")
+    test = ev.embed_all(params, test_s, "shared1")
+    fits = []
+    fit = ev._hinge_ova_fit
+
+    def counted(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(ev, "_hinge_ova_fit", counted)
+    both = ev.zero_shot_transfer("sound", train, {"text": test, "sound": train},
+                                 {**labels, **test_l}, 3, c_grid=(0.1, 1.0), iterations=50)
+    assert len(fits) == 2 * 2 + 1
+    [alone] = ev.zero_shot_transfer("sound", train, {"text": test}, {**labels, **test_l}, 3,
+                                    c_grid=(0.1, 1.0), iterations=50)
+    assert [(r.train_modality, r.test_modality) for r in both] == [("sound", "text"),
+                                                                    ("sound", "sound")]
+    assert both[0] == alone and both[1].best_c == alone.best_c
 
 
 def test_zero_shot_missing_class_rejected(tiny_spec_params):
     spec, params = tiny_spec_params
     train_s, train_l = _separable_samples(spec, 20, 2, seed=1)
+    train = ev.embed_all(params, train_s)
     with pytest.raises(ConfigError):
-        ev.zero_shot_transfer(params, train_s, train_l, train_s, train_l, 5)
+        ev.zero_shot_transfer("sound", train, {"sound": train}, train_l, 5)
 
 
 def test_zero_shot_invariant_to_global_power_of_two_scaling(tiny_spec_params):
@@ -242,7 +309,7 @@ def test_probe_planted_unit(tiny_spec_params):
     onehot = np.array([1.0 if s.id == "s003" else 0.0 for s in samples])
     w0, *_ = np.linalg.lstsq(matrix, onehot, rcond=None)
     params["shared.fc2.weight"].data[:, 0] = w0
-    listings = ev.probe_units(params, samples, "shared2", k=3, units=[0])
+    listings = ev.probe_units({"sound": ev.embed_all(params, samples)}, k=3, units=[0])
     top_ids = [sid for sid, _ in listings[0]["sound"]]
     assert top_ids[0] == "s003"
 
@@ -252,7 +319,7 @@ def test_probe_k_equals_dataset_size_returns_all_sorted(tiny_spec_params):
     rng = np.random.default_rng(5)
     samples = [Sample("text", rng.normal(size=spec.text_input), f"t{i:03d}")
                for i in range(8)]
-    listings = ev.probe_units(params, samples, "shared2", k=8, units=[2])
+    listings = ev.probe_units({"text": ev.embed_all(params, samples)}, k=8, units=[2])
     entries = listings[2]["text"]
     assert len(entries) == 8
     acts = [a for _, a in entries]
@@ -265,8 +332,8 @@ def test_probe_deterministic(tiny_spec_params):
     rng = np.random.default_rng(6)
     samples = [Sample("image", rng.normal(size=spec.vision_input), f"i{i:03d}")
                for i in range(6)]
-    a = ev.probe_units(params, samples, "shared2", k=4)
-    b = ev.probe_units(params, samples, "shared2", k=4)
+    a = ev.probe_units({"image": ev.embed_all(params, samples)}, k=4)
+    b = ev.probe_units({"image": ev.embed_all(params, samples)}, k=4)
     assert a == b
 
 
@@ -274,7 +341,7 @@ def test_probe_ties_broken_by_id(tiny_spec_params):
     spec, params = tiny_spec_params
     x = np.random.default_rng(7).normal(size=spec.sound_input)
     samples = [Sample("sound", x.copy(), name) for name in ("zz", "aa", "mm")]
-    listings = ev.probe_units(params, samples, "shared2", k=3, units=[1])
+    listings = ev.probe_units({"sound": ev.embed_all(params, samples)}, k=3, units=[1])
     assert [sid for sid, _ in listings[1]["sound"]] == ["aa", "mm", "zz"]
 
 

@@ -7,9 +7,11 @@ import pytest
 
 from crossmodal import networks as nets
 from crossmodal.autodiff import Tensor
-from crossmodal.errors import ConfigError, ContractError, DataFormatError, NumericError
+from crossmodal.errors import (ConfigError, ContractError, DataFormatError,
+                               DegenerateInputError, NumericError)
 from crossmodal.formats import save_tensor
 from crossmodal.losses import LossConfig
+from crossmodal import training
 from crossmodal.training import (
     OptimizerState,
     TrainConfig,
@@ -123,6 +125,16 @@ def test_train_numeric_abort_names_iteration():
         train(spec, handles, _cfg(learning_rate=1e80, iterations=5))
 
 
+def test_train_degenerate_row_is_numeric_abort_naming_iteration():
+    # all-zero parameters give all-zero ReLU rows, which the ranking cosine rejects
+    spec = make_tiny_spec()
+    zeros = nets.ModelParams(spec, {n: Tensor(np.zeros_like(t.data), requires_grad=True)
+                                    for n, t in nets.init_params(spec, seed=0).items()})
+    with pytest.raises(NumericError, match="iteration 0: .*zero-norm row") as info:
+        train(spec, make_tiny_handles(spec, 6, seed=0), _cfg(), params=zeros)
+    assert isinstance(info.value.__cause__, DegenerateInputError)
+
+
 def test_shared_trunk_receives_gradient_from_both_pair_types():
     spec = make_tiny_spec()
     handles = make_tiny_handles(spec, 6, seed=2)
@@ -205,6 +217,28 @@ def test_checkpoint_manifest_key_missing(tmp_path, key):
     _edit_manifest(ck, lambda doc: doc.pop(key))
     with pytest.raises(DataFormatError, match=rf"checkpoint\.json: .*{key}"):
         load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("older", [False, True])
+def test_checkpoint_save_crash_leaves_nothing_loadable(tmp_path, monkeypatch, older):
+    ck = tmp_path / "ck"
+    if older:
+        _tiny_checkpoint(ck)
+    calls = []
+
+    def failing(path, array):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        save_tensor(path, array)
+
+    monkeypatch.setattr(training, "save_tensor", failing)
+    params = nets.init_params(make_tiny_spec(), seed=1)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ck, params, OptimizerState.for_params(params))
+    with pytest.raises(DataFormatError, match="no checkpoint manifest"):
+        load_checkpoint(ck)
+    assert sorted(p.name for p in ck.iterdir() if p.suffix != ".tnsr") == []
 
 
 def test_checkpoint_corrupt_manifest(tmp_path):
