@@ -305,7 +305,10 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         # contractions as contiguous matmuls (much faster than strided einsum).
         db = g.sum(axis=(0, 2))
         gm = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * L, F)
-        xpt = np.ascontiguousarray(xp.transpose(0, 2, 1))  # (B, Lp, C)
+        # The padded input is rebuilt here, so no forward temporary outlives
+        # the forward pass.
+        xpt = np.zeros((B, Lp, C))
+        xpt[:, pad:pad + L, :] = x.data.transpose(0, 2, 1)
         # The input-layer windows are as large as the sound batch itself: one
         # buffer serves every tap, and no dx is built for a data batch.
         dk = np.empty_like(kern)
@@ -329,6 +332,11 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
 
     x: (B, C, H, W), kernels: (F, C, Kh, Kw) with odd extents, bias: (F,).
     Output spatial extents are ceil(H/stride) x ceil(W/stride).
+    Forward accumulates one kernel tap at a time, taps outer and channels
+    inner (einsum over channels), so the summation order is that of a
+    nested-loop evaluation. Each tap's strided window is first copied into
+    one contiguous (B, C, Ho, Wo) buffer, so the einsum runs one long loop
+    over the whole map instead of one output row at a time.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4 or bias.data.ndim != 1:
         raise ShapeError(
@@ -352,30 +360,40 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
         raise ShapeError(f"stride {stride} exceeds padded extent {Hp}x{Wp}")
     Ho = (H - 1) // stride + 1
     Wo = (W - 1) // stride + 1
-    xp = np.zeros((B, C, Hp, Wp))
-    xp[:, :, ph:ph + H, pw:pw + W] = x.data
 
+    def padded():
+        xp = np.zeros((B, C, Hp, Wp))
+        xp[:, :, ph:ph + H, pw:pw + W] = x.data
+        return xp
+
+    def window(arr, a, b):
+        return arr[:, :, a:a + stride * (Ho - 1) + 1:stride,
+                   b:b + stride * (Wo - 1) + 1:stride]
+
+    xp = padded()
     kern = kernels.data
     out = np.zeros((B, F, Ho, Wo))
+    win = np.empty((B, C, Ho, Wo))
     for a in range(Kh):
         for b in range(Kw):
-            win = xp[:, :, a:a + stride * (Ho - 1) + 1:stride,
-                     b:b + stride * (Wo - 1) + 1:stride]
+            np.copyto(win, window(xp, a, b))
             out += np.einsum("bchw,fc->bfhw", win, kern[:, :, a, b])
     out += bias.data[None, :, None, None]
 
     def bk(g):
+        xp = padded()  # rebuilt, so no forward temporary outlives the forward
         db = g.sum(axis=(0, 2, 3))
         dk = np.empty_like(kern)
-        dxp = np.zeros_like(xp)
+        # A data batch needs no input gradient.
+        dxp = np.zeros_like(xp) if x.requires_grad else None
         for a in range(Kh):
             for b in range(Kw):
-                win = xp[:, :, a:a + stride * (Ho - 1) + 1:stride,
-                         b:b + stride * (Wo - 1) + 1:stride]
-                dk[:, :, a, b] = np.einsum("bfhw,bchw->fc", g, win)
-                dxp[:, :, a:a + stride * (Ho - 1) + 1:stride,
-                    b:b + stride * (Wo - 1) + 1:stride] += np.einsum(
-                        "bfhw,fc->bchw", g, kern[:, :, a, b])
+                dk[:, :, a, b] = np.einsum("bfhw,bchw->fc", g, window(xp, a, b))
+                if dxp is not None:
+                    dwin = window(dxp, a, b)
+                    dwin += np.einsum("bfhw,fc->bchw", g, kern[:, :, a, b])
+        if dxp is None:
+            return None, dk, db
         dx = np.ascontiguousarray(dxp[:, :, ph:ph + H, pw:pw + W])
         return dx, dk, db
 

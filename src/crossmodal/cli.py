@@ -56,6 +56,55 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", _is_number)
+_INT_OR_NULL = ("an integer or null", lambda v: v is None or _is_int(v))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_C_GRID = ("a non-empty list of positive numbers",
+           lambda v: isinstance(v, list) and v and all(_is_number(c) and c > 0 for c in v))
+_STRINGS = ("a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+
+# Every field each config may carry, with the JSON type its value must have.
+_WORLD_FIELDS = {"seed": _INT, "concepts": _INT, "triples": _INT, "image_noise": _NUMBER,
+                 "sound_noise": _NUMBER, "text_noise": _NUMBER, "words_per_concept": _INT,
+                 "teacher_smoothing": _NUMBER, "output_dim": _INT, "val_size": _INT,
+                 "test_size": _INT}
+_TRAIN_FIELDS = {"seed": _INT,
+                 "scale": ('a number or "paper"', lambda v: v == "paper" or _is_number(v)),
+                 "learning_rate": _NUMBER, "batch_size": _INT, "iterations": _INT,
+                 "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "sigma": _NUMBER,
+                 "checkpoint_every": _INT, "loss": ("an object", lambda v: isinstance(v, dict))}
+_LOSS_FIELDS = {"margin": _NUMBER, "ranking_layers": _STRINGS, "kl_weight": _NUMBER,
+                "ranking_weight": _NUMBER, "negatives_per_positive": _INT_OR_NULL,
+                "seed": _INT}
+_EVAL_FIELDS = {"seed": _INT, "layer": _STRING, "n_splits": _INT, "split_size": _INT,
+                "probe_k": _INT, "probe_units": _INT_OR_NULL, "svm_iterations": _INT,
+                "svm_c_grid": _C_GRID, "ridge_lambda": _NUMBER}
+
+
+def _check_fields(doc: dict, fields: dict, where: str) -> None:
+    """Raise a ConfigError for an unknown field or a value of the wrong JSON type.
+
+    Values are checked, never coerced: summaries echo the config as given.
+    """
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {where} config fields: {sorted(unknown)}")
+    for name, (kind, ok) in fields.items():
+        if name in doc and not ok(doc[name]):
+            raise ConfigError(f"{where} config field {name!r} must be {kind}, "
+                              f"got {doc[name]!r}")
+
+
 def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
                         artifacts: list[str]) -> None:
     doc = {
@@ -73,11 +122,7 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
 
 
 def _world_from_config(doc: dict) -> tuple[SyntheticWorld, int, int, int]:
-    known = {"seed", "concepts", "triples", "image_noise", "sound_noise", "text_noise",
-             "words_per_concept", "teacher_smoothing", "output_dim", "val_size", "test_size"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown world config fields: {sorted(unknown)}")
+    _check_fields(doc, _WORLD_FIELDS, "world")
     world = SyntheticWorld(
         concepts=doc.get("concepts", 5),
         seed=doc["seed"],
@@ -113,20 +158,12 @@ def _spec_from_config(doc: dict):
 
 
 def _train_config(doc: dict) -> TrainConfig:
+    _check_fields(doc, _TRAIN_FIELDS, "train")
     loss_doc = dict(doc.get("loss", {}))
-    loss_known = {"margin", "ranking_layers", "kl_weight", "ranking_weight",
-                  "negatives_per_positive", "seed"}
-    unknown = set(loss_doc) - loss_known
-    if unknown:
-        raise ConfigError(f"unknown loss config fields: {sorted(unknown)}")
+    _check_fields(loss_doc, _LOSS_FIELDS, "loss")
     if "ranking_layers" in loss_doc:
         loss_doc["ranking_layers"] = tuple(loss_doc["ranking_layers"])
     loss_doc.setdefault("seed", doc["seed"])
-    known = {"seed", "scale", "learning_rate", "batch_size", "iterations",
-             "beta1", "beta2", "epsilon", "sigma", "checkpoint_every", "loss"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
     return TrainConfig(
         seed=doc["seed"],
         learning_rate=doc.get("learning_rate", 1e-4),
@@ -260,6 +297,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"unknown eval tasks {unknown}; valid tasks are: {', '.join(EVAL_TASKS)}"
         )
+    _check_fields(doc, _EVAL_FIELDS, "eval")
     ev.check_tap(doc.get("layer", ev.DEFAULT_LAYER))
     _, params, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)

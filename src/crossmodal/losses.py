@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, DegenerateInputError, NumericError
 from .networks import TAP_NAMES, ModelParams, forward_batch
 
 STUDENT_PROB_FLOOR = 1e-12
@@ -174,12 +174,18 @@ def combined_loss(batch, params: ModelParams,
     if cfg.ranking_weight > 0:
         plan = negative_plan(B, cfg.negatives_per_positive, cfg.seed)
         ranking_total: Tensor | None = None
+        directions = (("image", image_acts, other_modality, other_acts),
+                      (other_modality, other_acts, "image", image_acts))
         for layer in cfg.ranking_layers:
-            try:
-                term = ranking_loss(image_acts[layer], other_acts[layer], plan, cfg.margin) \
-                    + ranking_loss(other_acts[layer], image_acts[layer], plan, cfg.margin)
-            except NumericError as exc:
-                raise NumericError(f"ranking term ({layer}): {exc}") from exc
+            halves = []
+            for anchor, anchor_acts, positive, positive_acts in directions:
+                try:
+                    halves.append(ranking_loss(anchor_acts[layer], positive_acts[layer],
+                                               plan, cfg.margin))
+                except (NumericError, DegenerateInputError) as exc:
+                    raise type(exc)(
+                        f"ranking term ({layer}, {anchor}->{positive}): {exc}") from exc
+            term = halves[0] + halves[1]
             terms[f"ranking_{layer}"] = term.item()
             ranking_total = term if ranking_total is None else ranking_total + term
         terms["ranking"] = ranking_total.item()

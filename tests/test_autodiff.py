@@ -1,5 +1,7 @@
 """Tensor op forwards against independent oracles, and gradient integrity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,12 +158,18 @@ def test_conv2d_stride_beyond_padded_extent():
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("stride", [1, 2])
-def test_conv2d_matches_nested_loop_bitwise(seed, stride):
+@pytest.mark.parametrize("stride,x_shape,k_shape", [
+    pytest.param(1, (2, 3, 8, 7), (2, 3, 3, 3), id="1"),
+    pytest.param(2, (2, 3, 8, 7), (2, 3, 3, 3), id="2"),
+    pytest.param(4, (1, 3, 23, 23), (2, 3, 11, 11), id="stride4-11x11"),
+    pytest.param(1, (1, 384, 3, 3), (2, 384, 3, 3), id="384-channels"),
+    pytest.param(1, (3, 2, 9, 8), (2, 2, 5, 5), id="batch3-5x5"),
+])
+def test_conv2d_matches_nested_loop_bitwise(seed, stride, x_shape, k_shape):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 3, 8, 7))
-    k = rng.normal(size=(2, 3, 3, 3))
-    b = rng.normal(size=2)
+    x = rng.normal(size=x_shape)
+    k = rng.normal(size=k_shape)
+    b = rng.normal(size=k_shape[0])
     out = ad.conv2d_same(Tensor(x), Tensor(k), Tensor(b), stride=stride).data
     assert np.array_equal(out, conv2d_oracle(x, k, b, stride=stride))
 
@@ -450,17 +458,43 @@ def test_determinism_bitwise_repeat():
         assert np.array_equal(a, b)
 
 
-def test_conv1d_data_input_gets_same_kernel_grad():
+@pytest.mark.parametrize("op,x_shape,k_shape", [
+    (ad.conv1d_same, (2, 3, 20), (4, 3, 5)),
+    (ad.conv2d_same, (2, 3, 9, 8), (4, 3, 3, 5)),
+], ids=["conv1d_same", "conv2d_same"])
+def test_conv_data_input_gets_same_kernel_grad(op, x_shape, k_shape):
     # A data batch (no requires_grad) gets no dx, and the kernel and bias
     # gradients are bitwise those of a run where the input needs one.
     rng = np.random.default_rng(7)
-    x, k, b = rng.normal(size=(2, 3, 20)), rng.normal(size=(4, 3, 5)), rng.normal(size=4)
+    x, k, b = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
     grads = []
     for x_needs_grad in (True, False):
         xt = Tensor(x, requires_grad=x_needs_grad)
         kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
-        ad.mean_all(ad.relu(ad.conv1d_same(xt, kt, bt))).backward()
+        ad.mean_all(ad.relu(op(xt, kt, bt))).backward()
         assert (xt.grad is not None) == x_needs_grad
         grads.append((kt.grad, bt.grad))
     for with_dx, without_dx in zip(*grads):
         assert np.array_equal(with_dx, without_dx)
+
+
+@pytest.mark.parametrize("op,x_shape,k_shape", [
+    (ad.conv1d_same, (4, 16, 200), (8, 16, 5)),
+    (ad.conv2d_same, (2, 8, 30, 30), (4, 8, 5, 5)),
+], ids=["conv1d_same", "conv2d_same"])
+def test_conv_node_retains_no_padded_input(op, x_shape, k_shape):
+    # The backward rebuilds the padded input from x, so the node keeps only
+    # its output alive: no padded copy, no window buffer.
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=x_shape))
+    k = Tensor(rng.normal(size=k_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=k_shape[0]), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op(x, k, b)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out._backward_fn is not None
+    assert retained < out.data.nbytes + x.data.nbytes // 2

@@ -285,3 +285,34 @@ def test_unknown_config_field_exits_2(pipeline, tmp_path):
     code = main(["train", "--config", train_cfg, "--data",
                  str(data_dir / "manifest.csv"), "--out", str(tmp_path / "r")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("train", "scale", "half"),
+    ("train", "learning_rate", "0.01"),
+    ("train", "iterations", 1.5),
+    ("train", "seed", "a"),
+    ("train", "loss", {"margin": "x"}),
+    ("train", "batch_size", True),
+    ("gen-data", "concepts", "3"),
+    ("eval", "n_splits", "1"),
+    ("eval", "probe_k", 2.5),
+    ("eval", "ridge_lambda", "x"),
+    ("eval", "svm_c_grid", 3),
+    ("eval", "svm_c_grid", []),
+    ("eval", "svm_c_grid", [1.0, 0]),
+    ("eval", "n_split", 2),  # unknown field
+])
+def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
+                                                  command, field, value):
+    _, data_dir, run_dir = pipeline
+    base = {"gen-data": WORLD, "train": TRAIN, "eval": EVAL}[command]
+    cfg = _write(tmp_path / "cfg.json", {**base, field: value})
+    args = {"gen-data": [],
+            "train": ["--data", str(data_dir / "manifest.csv")],
+            "eval": ["--data", str(data_dir / "manifest.csv"),
+                     "--checkpoint", str(run_dir / "checkpoint" / "final")]}[command]
+    code = main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")])
+    assert code == 2
+    named = "margin" if field == "loss" else field
+    assert f"{named!r}" in capsys.readouterr().err

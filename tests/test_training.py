@@ -130,7 +130,8 @@ def test_train_degenerate_row_is_numeric_abort_naming_iteration():
     spec = make_tiny_spec()
     zeros = nets.ModelParams(spec, {n: Tensor(np.zeros_like(t.data), requires_grad=True)
                                     for n, t in nets.init_params(spec, seed=0).items()})
-    with pytest.raises(NumericError, match="iteration 0: .*zero-norm row") as info:
+    with pytest.raises(NumericError, match=r"iteration 0: ranking term "
+                       r"\(bottleneck, image->\w+\): .*zero-norm row") as info:
         train(spec, make_tiny_handles(spec, 6, seed=0), _cfg(), params=zeros)
     assert isinstance(info.value.__cause__, DegenerateInputError)
 
