@@ -5,7 +5,7 @@ from .autodiff import (
     backward,
     conv1d_same,
     conv2d_same,
-    cosine_similarity,
+    cosine_matrix,
     fully_connected,
     gradient_check,
     maxpool1d,
@@ -34,7 +34,7 @@ from .networks import (
 __all__ = [
     "Tensor", "backward", "gradient_check",
     "fully_connected", "conv1d_same", "conv2d_same",
-    "maxpool1d", "maxpool2d", "relu", "softmax", "cosine_similarity",
+    "maxpool1d", "maxpool2d", "relu", "softmax", "cosine_matrix",
     "NetworkSpec", "ModelParams", "default_paper_spec", "desk_spec",
     "init_params", "forward_batch",
     "CrossModalError", "ShapeError", "ConfigError", "ContractError",

@@ -2,14 +2,16 @@
 
 The operation set is exactly what the cross-modal networks and losses need:
 matmul/bias (fully connected), same-padded 1-D and 2-D cross-correlation,
-non-overlapping and overlapping max-pooling, relu, row softmax, row cosine
-similarity, and the elementwise/reduction glue to assemble scalar losses.
+non-overlapping and overlapping max-pooling, relu, row softmax, the cosine
+matrix of two row sets with its diagonal, and the elementwise/reduction glue
+to assemble scalar losses.
 
 Graphs are implicit: every Tensor records its parents and a closure that maps
 the output gradient to parent gradients. Tensors are immutable once created,
 so creation order (``uid``) is a valid topological order and ``backward``
 walks reachable nodes by descending uid. Everything is float64 and
-deterministic: same inputs, same machine, bitwise-same outputs.
+deterministic: same inputs, same machine and BLAS thread count, bitwise-same
+outputs.
 """
 
 from __future__ import annotations
@@ -86,14 +88,6 @@ class Tensor:
 
     def sum(self):
         return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -214,21 +208,15 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(data, (a,), bk, "reshape")
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows of `a` (axis 0) by an integer index vector."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows expects a 1-D index vector")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise ShapeError("gather_rows index out of range")
-    data = a.data[idx]
+def diagonal(a: Tensor) -> Tensor:
+    """The main diagonal of a square a[N,N] -> (N,)."""
+    if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
+        raise ShapeError(f"diagonal expects a square (N,N) operand, got {a.data.shape}")
 
     def bk(g):
-        da = np.zeros_like(a.data)
-        np.add.at(da, idx, g)
-        return (da,)
+        return (np.diag(g),)
 
-    return _node(data, (a,), bk, "gather_rows")
+    return _node(a.data.diagonal().copy(), (a,), bk, "diagonal")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -238,16 +226,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).astype(np.float64),)
 
     return _node(data, (a,), bk, "sum_all")
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    data = np.asarray(a.data.sum() / n)
-
-    def bk(g):
-        return (np.broadcast_to(g / n, a.data.shape).astype(np.float64),)
-
-    return _node(data, (a,), bk, "mean_all")
 
 
 # -- network ops ----------------------------------------------------------
@@ -486,36 +464,37 @@ def softmax(x: Tensor) -> Tensor:
     return _node(s, (x,), bk, "softmax")
 
 
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine of a[B,D] and b[B,D] -> (B,).
+def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine of every row of a[B,D] with every row of b[N,D] -> (B, N).
 
     The value is the exact dot/(|a||b|) ratio clamped to [-1, 1] (so it is
     scale invariant to rounding); the 1e-8 norm epsilon enters only the
     backward denominators, where it serves gradient stability. Rows with
     norm below 1e-12 are rejected as degenerate rather than mapped to 0.
+    The dots are one GEMM forward, and the backward is two more.
     """
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape != b.data.shape:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
         raise ShapeError(
-            f"cosine_similarity expects equal (B,D) operands, got "
+            f"cosine_matrix expects (B,D) and (N,D) operands, got "
             f"{a.data.shape} and {b.data.shape}"
         )
     na_raw = np.sqrt((a.data * a.data).sum(axis=1))
     nb_raw = np.sqrt((b.data * b.data).sum(axis=1))
     if (na_raw < COSINE_MIN_NORM).any() or (nb_raw < COSINE_MIN_NORM).any():
-        raise DegenerateInputError("cosine_similarity: zero-norm row")
+        raise DegenerateInputError("cosine_matrix: zero-norm row")
     na = na_raw + COSINE_NORM_EPS
     nb = nb_raw + COSINE_NORM_EPS
-    dot = (a.data * b.data).sum(axis=1)
-    cos = np.clip(dot / (na_raw * nb_raw), -1.0, 1.0)
+    dot = a.data @ b.data.T
+    cos = np.clip(dot / np.outer(na_raw, nb_raw), -1.0, 1.0)
 
     def bk(g):
-        ga = g[:, None] * (b.data / (na * nb)[:, None]
-                           - (dot / (na * na * nb))[:, None] * (a.data / na_raw[:, None]))
-        gb = g[:, None] * (a.data / (na * nb)[:, None]
-                           - (dot / (na * nb * nb))[:, None] * (b.data / nb_raw[:, None]))
+        w = g / np.outer(na, nb)
+        wd = w * dot
+        ga = w @ b.data - a.data * (wd.sum(axis=1) / (na * na_raw))[:, None]
+        gb = w.T @ a.data - b.data * (wd.sum(axis=0) / (nb * nb_raw))[:, None]
         return ga, gb
 
-    return _node(cos, (a, b), bk, "cosine_similarity")
+    return _node(cos, (a, b), bk, "cosine_matrix")
 
 
 # -- backward pass --------------------------------------------------------

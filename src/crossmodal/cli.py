@@ -7,18 +7,21 @@
 
 Configs are JSON and must carry an explicit seed; nothing is ever sampled
 from the clock. Every command writes a run manifest listing its artifacts,
-and rerunning a command reproduces those artifacts bitwise (the manifest's
-timestamp aside). Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric
-abort.
+and rerunning a command at a fixed BLAS thread count reproduces those
+artifacts bitwise (the manifest's timestamp and environment aside). Exit
+codes: 0 ok, 2 config error, 3 data error, 4 numeric abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import evaluation as ev
 from .data import SyntheticWorld, load_dataset, write_dataset
@@ -40,6 +43,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# The thread count of a multithreaded BLAS changes the bits of its sums.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _load_config(path) -> dict:
@@ -66,7 +72,9 @@ def _is_number(value) -> bool:
 
 _INT = ("an integer", _is_int)
 _NUMBER = ("a number", _is_number)
-_INT_OR_NULL = ("an integer or null", lambda v: v is None or _is_int(v))
+_POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+_POSITIVE_INT_OR_NULL = ("a positive integer or null",
+                         lambda v: v is None or _is_int(v) and v >= 1)
 _STRING = ("a string", lambda v: isinstance(v, str))
 _C_GRID = ("a non-empty list of positive numbers",
            lambda v: isinstance(v, list) and v and all(_is_number(c) and c > 0 for c in v))
@@ -84,15 +92,18 @@ _TRAIN_FIELDS = {"seed": _INT,
                  "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "sigma": _NUMBER,
                  "checkpoint_every": _INT, "loss": ("an object", lambda v: isinstance(v, dict))}
 _LOSS_FIELDS = {"margin": _NUMBER, "ranking_layers": _STRINGS, "kl_weight": _NUMBER,
-                "ranking_weight": _NUMBER, "negatives_per_positive": _INT_OR_NULL,
+                "ranking_weight": _NUMBER, "negatives_per_positive": _POSITIVE_INT_OR_NULL,
                 "seed": _INT}
-_EVAL_FIELDS = {"seed": _INT, "layer": _STRING, "n_splits": _INT, "split_size": _INT,
-                "probe_k": _INT, "probe_units": _INT_OR_NULL, "svm_iterations": _INT,
-                "svm_c_grid": _C_GRID, "ridge_lambda": _NUMBER}
+_EVAL_FIELDS = {"seed": _INT, "layer": _STRING, "n_splits": _POSITIVE_INT,
+                "split_size": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
+                "probe_k": _POSITIVE_INT, "probe_units": _POSITIVE_INT_OR_NULL,
+                "svm_iterations": _POSITIVE_INT, "svm_c_grid": _C_GRID,
+                "ridge_lambda": ("a positive number", lambda v: _is_number(v) and v > 0)}
 
 
 def _check_fields(doc: dict, fields: dict, where: str) -> None:
-    """Raise a ConfigError for an unknown field or a value of the wrong JSON type.
+    """Raise a ConfigError for an unknown field or a value of the wrong JSON type
+    or out of range.
 
     Values are checked, never coerced: summaries echo the config as given.
     """
@@ -107,6 +118,7 @@ def _check_fields(doc: dict, fields: dict, where: str) -> None:
 
 def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
                         artifacts: list[str]) -> None:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     doc = {
         "command": command,
         "config": str(args.config),
@@ -116,6 +128,9 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "artifacts": sorted(artifacts),
+        "environment": {"numpy": np.__version__,
+                        "blas": {k: blas.get(k) for k in ("name", "version")},
+                        **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
     }
     (out_dir / "run_manifest.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -298,8 +313,14 @@ def cmd_eval(args) -> int:
             f"unknown eval tasks {unknown}; valid tasks are: {', '.join(EVAL_TASKS)}"
         )
     _check_fields(doc, _EVAL_FIELDS, "eval")
-    ev.check_tap(doc.get("layer", ev.DEFAULT_LAYER))
-    _, params, _ = load_checkpoint(args.checkpoint)
+    layer = doc.get("layer", ev.DEFAULT_LAYER)
+    ev.check_tap(layer)
+    spec, params, _ = load_checkpoint(args.checkpoint)
+    width = {"bottleneck": spec.bottleneck_dim, "shared1": spec.shared_widths[0],
+             "shared2": spec.shared_widths[-1], "softmax": spec.output_dim}[layer]
+    if doc.get("probe_units") is not None and doc["probe_units"] > width:
+        raise ConfigError(f"eval config field 'probe_units' must be at most the width "
+                          f"of tap {layer!r} ({width}), got {doc['probe_units']}")
     dataset = load_dataset(args.data)
     if not dataset.pair_ids("test"):
         raise ConfigError("dataset has no test split; regenerate with test_size > 0")

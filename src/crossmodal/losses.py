@@ -4,6 +4,8 @@ The model-transfer loss distills a teacher's class probabilities into each
 student pathway's softmax output. The ranking loss pushes the cosine
 similarity of synchronized cross-modal pairs above mismatched in-batch pairs
 by a margin, in both directions, on the bottleneck and shared hidden layers.
+Each ranking term is one B x B cosine matrix: its diagonal holds the pairs,
+and a bool mask selects the off-diagonal entries that serve as negatives.
 Image+sound and image+text batches are supervised; sound+text never is.
 """
 
@@ -80,54 +82,48 @@ def kl_transfer_loss(teacher_probs, student_probs: Tensor) -> Tensor:
 
 
 def negative_plan(batch_size: int, negatives_per_positive: int | None = None,
-                  seed: int = 0) -> list[tuple[int, int]]:
-    """(anchor, negative) index pairs within a batch, deterministic given seed.
+                  seed: int = 0) -> np.ndarray:
+    """(B, B) bool mask of (anchor, negative) pairs within a batch, deterministic given seed.
 
-    Every other in-batch pair serves as a negative, capped at
+    Row i marks anchor i's negatives: every other in-batch item, capped at
     negatives_per_positive per anchor (seeded choice without replacement).
     """
     if batch_size < 2:
         raise ContractError(f"need at least 2 pairs for negatives, got {batch_size}")
     cap = negatives_per_positive
+    others = ~np.eye(batch_size, dtype=bool)
     if cap is None or cap >= batch_size - 1:
-        return [(i, j) for i in range(batch_size) for j in range(batch_size) if j != i]
+        return others
     rng = np.random.default_rng(seed)
-    plan = []
+    mask = np.zeros_like(others)
     for i in range(batch_size):
-        others = np.array([j for j in range(batch_size) if j != i])
-        picks = rng.choice(others, size=cap, replace=False)
-        plan.extend((i, int(j)) for j in picks)
-    return plan
+        mask[i, rng.choice(np.flatnonzero(others[i]), size=cap, replace=False)] = True
+    return mask
 
 
 def ranking_loss(anchor_reprs: Tensor, positive_reprs: Tensor,
-                 negative_index_plan, margin: float = 0.5) -> Tensor:
-    """Mean over (i,j) of max(0, margin - cos(a_i, p_i) + cos(a_i, p_j))."""
+                 negatives, margin: float = 0.5) -> Tensor:
+    """Mean over the (i, j) the ``negatives`` mask marks of max(0, margin - S_ii + S_ij),
+    where S_ij = cos(a_i, p_j) is one cosine matrix."""
     if anchor_reprs.data.ndim != 2 or anchor_reprs.data.shape != positive_reprs.data.shape:
         raise ContractError(
             f"anchors {anchor_reprs.data.shape} and positives "
             f"{positive_reprs.data.shape} must be equal (B,D)"
         )
     B = anchor_reprs.data.shape[0]
-    if B < 2:
-        raise ContractError(f"ranking loss needs a batch of >= 2, got {B}")
-    plan = list(negative_index_plan)
-    if not plan:
-        raise ContractError("empty negative index plan")
-    anchor_idx = np.array([i for i, _ in plan], dtype=np.intp)
-    negative_idx = np.array([j for _, j in plan], dtype=np.intp)
-    if (anchor_idx == negative_idx).any():
-        raise ContractError("negative plan pairs an anchor with its own positive")
-    if anchor_idx.min() < 0 or max(anchor_idx.max(), negative_idx.max()) >= B:
-        raise ContractError("negative plan index out of range")
+    mask = np.asarray(negatives)
+    if mask.dtype != bool or mask.shape != (B, B):
+        raise ContractError(f"negative mask must be a ({B}, {B}) bool array, "
+                            f"got {mask.dtype} {mask.shape}")
+    if mask.diagonal().any():
+        raise ContractError("negative mask pairs an anchor with its own positive")
+    count = int(mask.sum())
+    if not count:
+        raise ContractError("negative mask selects no pair")
 
-    anchors = ad.gather_rows(anchor_reprs, anchor_idx)
-    pos = ad.gather_rows(positive_reprs, anchor_idx)
-    neg = ad.gather_rows(positive_reprs, negative_idx)
-    pos_sim = ad.cosine_similarity(anchors, pos)
-    neg_sim = ad.cosine_similarity(anchors, neg)
-    hinge = ad.relu((neg_sim - pos_sim) + margin)
-    return ad.mean_all(hinge)
+    sim = ad.cosine_matrix(anchor_reprs, positive_reprs)
+    hinge = ad.relu((sim - ad.reshape(ad.diagonal(sim), (B, 1))) + margin)
+    return ad.sum_all(ad.mul(hinge, Tensor(mask))) / count
 
 
 def combined_loss(batch, params: ModelParams,
@@ -172,7 +168,7 @@ def combined_loss(batch, params: ModelParams,
         total = kl * cfg.kl_weight
 
     if cfg.ranking_weight > 0:
-        plan = negative_plan(B, cfg.negatives_per_positive, cfg.seed)
+        mask = negative_plan(B, cfg.negatives_per_positive, cfg.seed)
         ranking_total: Tensor | None = None
         directions = (("image", image_acts, other_modality, other_acts),
                       (other_modality, other_acts, "image", image_acts))
@@ -181,7 +177,7 @@ def combined_loss(batch, params: ModelParams,
             for anchor, anchor_acts, positive, positive_acts in directions:
                 try:
                     halves.append(ranking_loss(anchor_acts[layer], positive_acts[layer],
-                                               plan, cfg.margin))
+                                               mask, cfg.margin))
                 except (NumericError, DegenerateInputError) as exc:
                     raise type(exc)(
                         f"ranking term ({layer}, {anchor}->{positive}): {exc}") from exc

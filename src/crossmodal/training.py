@@ -2,9 +2,9 @@
 
 The loop alternates image+sound and image+text batches (so both pair types
 contribute gradient to the shared trunk with equal frequency) and is a pure
-function of (spec, data, config): two runs produce bitwise-identical
-checkpoints, and a run resumed from a checkpoint continues the exact
-trajectory of an unbroken one.
+function of (spec, data, config): at a fixed BLAS thread count, two runs
+produce bitwise-identical checkpoints, and a run resumed from a checkpoint
+continues the exact trajectory of an unbroken one.
 """
 
 from __future__ import annotations

@@ -238,20 +238,27 @@ def test_softmax_rows_sum_to_one(seed):
 
 def test_cosine_parallel_orthogonal():
     a = Tensor([[2.0, 0.0]])
-    assert ad.cosine_similarity(a, a).data[0] == 1.0
+    assert ad.cosine_matrix(a, a).data[0, 0] == 1.0
     b = Tensor([[0.0, 1.0]])
-    assert ad.cosine_similarity(Tensor([[1.0, 0.0]]), b).data[0] == 0.0
+    assert ad.cosine_matrix(Tensor([[1.0, 0.0]]), b).data[0, 0] == 0.0
 
 
 def test_cosine_against_dot_norm_oracle():
-    out = ad.cosine_similarity(Tensor([[1.0, 0.0]]), Tensor([[1.0, 1.0]])).data[0]
+    out = ad.cosine_matrix(Tensor([[1.0, 0.0]]), Tensor([[1.0, 1.0]])).data[0, 0]
     assert abs(out - 0.70710678) < 1e-8
     assert abs(out - 1.0 / np.sqrt(2.0)) < 1e-15
 
 
 def test_cosine_zero_norm_raises():
     with pytest.raises(DegenerateInputError):
-        ad.cosine_similarity(Tensor([[0.0, 0.0]]), Tensor([[1.0, 0.0]]))
+        ad.cosine_matrix(Tensor([[0.0, 0.0]]), Tensor([[1.0, 0.0]]))
+
+
+def test_cosine_matrix_and_diagonal_reject_bad_shapes():
+    with pytest.raises(ShapeError):
+        ad.cosine_matrix(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+    with pytest.raises(ShapeError):
+        ad.diagonal(Tensor(np.ones((2, 3))))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -259,7 +266,8 @@ def test_cosine_stays_in_unit_interval(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(20, 8)) * rng.uniform(0.01, 100)
     b = rng.normal(size=(20, 8)) * rng.uniform(0.01, 100)
-    out = ad.cosine_similarity(Tensor(a), Tensor(b)).data
+    out = ad.cosine_matrix(Tensor(a), Tensor(b)).data
+    assert out.shape == (20, 20)
     assert (out >= -1.0).all() and (out <= 1.0).all()
 
 
@@ -387,13 +395,6 @@ def op_gradient_cases(rng):
     cases.append(("log_clamp", {"x": xl},
                   lambda: ad.sum_all(ad.mul(ad.log(ad.clamp_min(xl, 1e-12)), rl))))
 
-    xg = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    idx = np.array([0, 2, 2, 1])
-    rg = Tensor(rng.normal(size=(4, 3)))
-    cases.append(("gather_reshape_mean", {"x": xg},
-                  lambda: ad.mean_all(ad.mul(ad.reshape(ad.gather_rows(xg, idx),
-                                                        (2, 6)).reshape(4, 3), rg))))
-
     c1x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
     c1k = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
     c1b = Tensor(rng.normal(size=2), requires_grad=True)
@@ -423,11 +424,16 @@ def op_gradient_cases(rng):
     cases.append(("softmax", {"x": xs},
                   lambda: ad.sum_all(ad.mul(ad.softmax(xs), rs))))
 
-    ca = Tensor(rng.normal(size=(4, 6)) + 0.1, requires_grad=True)
-    cb = Tensor(rng.normal(size=(4, 6)) + 0.1, requires_grad=True)
-    rc = Tensor(rng.normal(size=4))
-    cases.append(("cosine_similarity", {"a": ca, "b": cb},
-                  lambda: ad.sum_all(ad.mul(ad.cosine_similarity(ca, cb), rc))))
+    ca = Tensor(rng.normal(size=(3, 6)) + 0.1, requires_grad=True)
+    cb = Tensor(rng.normal(size=(5, 6)) + 0.1, requires_grad=True)
+    rc = Tensor(rng.normal(size=(3, 5)))
+    cases.append(("cosine_matrix", {"a": ca, "b": cb},
+                  lambda: ad.sum_all(ad.mul(ad.cosine_matrix(ca, cb), rc))))
+
+    xd = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    rd = Tensor(rng.normal(size=(2, 2)))
+    cases.append(("diagonal_reshape", {"x": xd},
+                  lambda: ad.sum_all(ad.mul(ad.reshape(ad.diagonal(xd), (2, 2)), rd))))
 
     return cases
 
@@ -448,7 +454,7 @@ def test_determinism_bitwise_repeat():
         k = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         out = ad.maxpool1d(ad.relu(ad.conv1d_same(x, k, b)), 2)
-        loss = ad.mean_all(out)
+        loss = ad.sum_all(out)
         loss.backward()
         return loss.data.copy(), x.grad.copy(), k.grad.copy()
 
@@ -471,7 +477,7 @@ def test_conv_data_input_gets_same_kernel_grad(op, x_shape, k_shape):
     for x_needs_grad in (True, False):
         xt = Tensor(x, requires_grad=x_needs_grad)
         kt, bt = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
-        ad.mean_all(ad.relu(op(xt, kt, bt))).backward()
+        ad.sum_all(ad.relu(op(xt, kt, bt))).backward()
         assert (xt.grad is not None) == x_needs_grad
         grads.append((kt.grad, bt.grad))
     for with_dx, without_dx in zip(*grads):

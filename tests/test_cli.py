@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,13 @@ def test_run_manifest_lists_artifacts(pipeline):
     run_doc = json.loads((run_dir / "run_manifest.json").read_text())
     assert "train_loss.csv" in run_doc["artifacts"]
     assert any(a.startswith("checkpoint/final") for a in run_doc["artifacts"])
+    # the BLAS library and thread count fix the bits of every artifact
+    for env in (doc["environment"], run_doc["environment"]):
+        assert set(env) == {"numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS"}
+        assert set(env["blas"]) == {"name", "version"}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert env[var] == os.environ.get(var)
 
 
 def test_train_loss_csv_row_count(pipeline):
@@ -167,13 +175,17 @@ def test_eval_rerun_byte_identical(pipeline, tmp_path):
         assert outs[0][k] == outs[1][k], k
 
 
-# sha256 of the reports of an all-task eval of the pipeline below, taken
-# before evaluation embedded each (split, modality) once
+# sha256 of the reports of an all-task eval of the pipeline below. probe.csv
+# lists a trained model's activations, and the last bits of training follow
+# the BLAS thread count, so it has one hash per thread count it was taken at.
 EVAL_REPORT_SHA256 = {
     "accuracies.csv": "d8698fa0f0ebee4da6f537d02a9339475be94d3321132267d7ba70f451c8dc62",
     "baseline_ranks.csv": "5263e9ef77a718192600ccddfe45afc01e28c6ac7506cdd4cb8c9f4c364e43e2",
     "bridge_ranks.csv": "e2b1a6943fc9fbf21b9f6d26116b27eac9413607170227afddd6ca3598359b4c",
-    "probe.csv": "87db3cd020e20f95bbaf2cdb69dd8458cca49b7032810655c2b36a0474afe116",
+    "probe.csv": {
+        "1 thread": "9baef1b6d7313e0e3ff292a7002f249eb6757de2f29325a5d7769e5004454395",
+        "2 threads": "fb9352cfdb3f61d5a04cfd863464452f33c1e7f909cc66eefc5b4e7e6cace47a",
+    },
     "retrieval_ranks.csv": "2ecb0185d1bacbb5d815f72043da4a05193b195a2c8079adfd869c17a0c4ce9b",
     "summary.json": "06e349ed9ab4137162ef46a667aab20f2e6ff60b86f3bcf8b3ee0feccb577c7b",
 }
@@ -207,8 +219,10 @@ def test_eval_embeds_each_batch_once_and_fits_once_per_training_modality(
     assert len(forwards) == 3 * batches
     assert len(set(forwards)) == len(forwards)
     assert len(fits) == 3 * (2 * len(ev.DEFAULT_C_GRID) + 1)
-    assert {name: hashlib.sha256(data).hexdigest()
-            for name, data in _tree_bytes(out).items()} == EVAL_REPORT_SHA256
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in _tree_bytes(out).items()}
+    assert got.keys() == EVAL_REPORT_SHA256.keys()
+    for name, want in EVAL_REPORT_SHA256.items():
+        assert got[name] in ((want,) if isinstance(want, str) else want.values()), name
 
 
 def test_unknown_tap_exits_2(pipeline, tmp_path):
@@ -302,6 +316,17 @@ def test_unknown_config_field_exits_2(pipeline, tmp_path):
     ("eval", "svm_c_grid", []),
     ("eval", "svm_c_grid", [1.0, 0]),
     ("eval", "n_split", 2),  # unknown field
+    # counts out of range
+    ("eval", "svm_iterations", 0),
+    ("eval", "svm_iterations", -2),
+    ("eval", "probe_units", 0),
+    ("eval", "probe_units", -3),
+    ("eval", "probe_units", 1000),  # the shared2 tap has 256 units
+    ("eval", "probe_k", 0),
+    ("eval", "n_splits", 0),
+    ("eval", "split_size", 1),
+    ("eval", "ridge_lambda", 0),
+    ("eval", "ridge_lambda", -1e-3),
 ])
 def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
                                                   command, field, value):
@@ -314,5 +339,6 @@ def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
                      "--checkpoint", str(run_dir / "checkpoint" / "final")]}[command]
     code = main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")])
     assert code == 2
+    assert not (tmp_path / "out").exists()  # rejected before anything is written
     named = "margin" if field == "loss" else field
     assert f"{named!r}" in capsys.readouterr().err

@@ -162,30 +162,51 @@ def test_ranking_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     anchors = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     positives = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    plan = negative_plan(3)
+    mask = negative_plan(3)
 
     def build():
-        return ranking_loss(anchors, positives, plan, margin=0.5)
+        return ranking_loss(anchors, positives, mask, margin=0.5)
 
     errors = ad.gradient_check(build, {"a": anchors, "p": positives}, eps=1e-6)
     assert max(errors.values()) < 1e-4
 
 
+# The (anchor, negative) pairs negative_plan(6, negatives_per_positive=2, seed=0)
+# listed when it returned a pair list: its mask must pick the same negatives.
+CAPPED_6_2_SEED0 = {(0, 4), (0, 5), (1, 5), (1, 2), (2, 5), (2, 0),
+                    (3, 4), (3, 5), (4, 2), (4, 3), (5, 2), (5, 3)}
+
+
 def test_negative_plan_full_and_capped():
     full = negative_plan(4)
-    assert len(full) == 12 and all(i != j for i, j in full)
+    assert full.dtype == bool and np.array_equal(full, ~np.eye(4, dtype=bool))
     capped = negative_plan(6, negatives_per_positive=2, seed=0)
-    assert len(capped) == 12
-    assert capped == negative_plan(6, negatives_per_positive=2, seed=0)
-    assert all(i != j for i, j in capped)
+    assert capped.shape == (6, 6) and not capped.diagonal().any()
+    assert (capped.sum(axis=1) == 2).all()
+    assert np.array_equal(capped, negative_plan(6, negatives_per_positive=2, seed=0))
+    assert set(map(tuple, np.argwhere(capped).tolist())) == CAPPED_6_2_SEED0
 
 
 def test_ranking_rejects_degenerate_plans():
     anchors = Tensor(np.eye(2))
-    with pytest.raises(ContractError):
-        ranking_loss(anchors, anchors, [(0, 0)], margin=0.5)
-    with pytest.raises(ContractError):
-        ranking_loss(anchors, anchors, [], margin=0.5)
+    for mask in (np.eye(2, dtype=bool),        # an anchor paired with its own positive
+                 np.zeros((2, 2), dtype=bool),  # no negative at all
+                 negative_plan(3),              # wrong shape
+                 [(0, 1), (1, 0)]):             # a pair list, not a mask
+        with pytest.raises(ContractError):
+            ranking_loss(anchors, anchors, mask, margin=0.5)
+
+
+def test_ranking_capped_mask_matches_brute_force_over_its_pairs():
+    rng = np.random.default_rng(6)
+    anchors = rng.normal(size=(6, 5))
+    positives = rng.normal(size=(6, 5))
+    mask = negative_plan(6, negatives_per_positive=2, seed=0)
+    expected = np.mean([max(0.0, 0.5 - cosine_oracle(anchors[i], positives[i])
+                            + cosine_oracle(anchors[i], positives[j]))
+                        for i, j in sorted(CAPPED_6_2_SEED0)])
+    got = ranking_loss(Tensor(anchors), Tensor(positives), mask, margin=0.5).item()
+    assert expected > 0 and abs(got - expected) < 1e-10
 
 
 # -- combined loss -----------------------------------------------------------------
@@ -230,9 +251,9 @@ def test_combined_weights_0_1_equals_ranking_alone(tiny_spec_params):
     txt = np.stack([s.payload for s in batch.positives])
     ia = nets.forward_batch(params, img, "image")["shared2"]
     ta = nets.forward_batch(params, txt, "text")["shared2"]
-    plan = negative_plan(4, None, cfg.seed)
-    expected = ranking_loss(ia, ta, plan, cfg.margin).item() \
-        + ranking_loss(ta, ia, plan, cfg.margin).item()
+    mask = negative_plan(4, None, cfg.seed)
+    expected = ranking_loss(ia, ta, mask, cfg.margin).item() \
+        + ranking_loss(ta, ia, mask, cfg.margin).item()
     assert abs(total.item() - expected) < 1e-12
     assert "kl" not in terms
 
@@ -248,7 +269,6 @@ def test_combined_4pair_fixture_matches_hand_assembled_sum(tiny_spec_params):
     snd = np.stack([s.payload for s in batch.positives])
     ia = nets.forward_batch(params, img, "image")
     sa = nets.forward_batch(params, snd, "sound")
-    plan = negative_plan(4, None, cfg.seed)
     expected_kl = kl_oracle(batch.teacher_rows, ia["softmax"].data) \
         + kl_oracle(batch.teacher_rows, sa["softmax"].data)
     expected_rank = 0.0
