@@ -6,7 +6,9 @@
                         --checkpoint CKPT --out DIR [--tasks retrieval,bridge,...]
 
 Configs are JSON and must carry an explicit seed; nothing is ever sampled
-from the clock. Every command writes a run manifest listing its artifacts,
+from the clock. A config holds the fields of one dataclass, which states
+their defaults and ranges (SyntheticWorld, TrainConfig with its LossConfig,
+EvalConfig), plus a few CLI-only fields. Every command writes a run manifest listing its artifacts,
 and rerunning a command at a fixed BLAS thread count reproduces those
 artifacts bitwise (the manifest's timestamp and environment aside). Exit
 codes: 0 ok, 2 config error, 3 data error, 4 numeric abort.
@@ -15,6 +17,7 @@ codes: 0 ok, 2 config error, 3 data error, 4 numeric abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -70,50 +73,42 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-_INT = ("an integer", _is_int)
-_NUMBER = ("a number", _is_number)
-_POSITIVE_INT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
-_POSITIVE_INT_OR_NULL = ("a positive integer or null",
-                         lambda v: v is None or _is_int(v) and v >= 1)
-_STRING = ("a string", lambda v: isinstance(v, str))
-_C_GRID = ("a non-empty list of positive numbers",
-           lambda v: isinstance(v, list) and v and all(_is_number(c) and c > 0 for c in v))
-_STRINGS = ("a list of strings",
-            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
-
-# Every field each config may carry, with the JSON type its value must have.
-_WORLD_FIELDS = {"seed": _INT, "concepts": _INT, "triples": _INT, "image_noise": _NUMBER,
-                 "sound_noise": _NUMBER, "text_noise": _NUMBER, "words_per_concept": _INT,
-                 "teacher_smoothing": _NUMBER, "output_dim": _INT, "val_size": _INT,
-                 "test_size": _INT}
-_TRAIN_FIELDS = {"seed": _INT,
-                 "scale": ('a number or "paper"', lambda v: v == "paper" or _is_number(v)),
-                 "learning_rate": _NUMBER, "batch_size": _INT, "iterations": _INT,
-                 "beta1": _NUMBER, "beta2": _NUMBER, "epsilon": _NUMBER, "sigma": _NUMBER,
-                 "checkpoint_every": _INT, "loss": ("an object", lambda v: isinstance(v, dict))}
-_LOSS_FIELDS = {"margin": _NUMBER, "ranking_layers": _STRINGS, "kl_weight": _NUMBER,
-                "ranking_weight": _NUMBER, "negatives_per_positive": _POSITIVE_INT_OR_NULL,
-                "seed": _INT}
-_EVAL_FIELDS = {"seed": _INT, "layer": _STRING, "n_splits": _POSITIVE_INT,
-                "split_size": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
-                "probe_k": _POSITIVE_INT, "probe_units": _POSITIVE_INT_OR_NULL,
-                "svm_iterations": _POSITIVE_INT, "svm_c_grid": _C_GRID,
-                "ridge_lambda": ("a positive number", lambda v: _is_number(v) and v > 0)}
+# The JSON value a config field takes, by its dataclass field's annotation.
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[str, ...]": ("a list of strings",
+                        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "tuple[float, ...]": ("a list of numbers",
+                          lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "LossConfig": ("an object", lambda v: isinstance(v, dict)),
+}
 
 
-def _check_fields(doc: dict, fields: dict, where: str) -> None:
-    """Raise a ConfigError for an unknown field or a value of the wrong JSON type
-    or out of range.
+def _fields(cls, doc: dict, where: str, extras=()) -> dict:
+    """The values ``doc`` gives the fields of config dataclass ``cls``, lists
+    as tuples, ready for ``cls(**...)``, which checks their ranges.
 
-    Values are checked, never coerced: summaries echo the config as given.
+    A field that neither ``cls`` nor the CLI-only ``extras`` defines, or a
+    value whose JSON type does not fit its field's annotation, is a
+    ConfigError naming it. Values are checked, never coerced (a bool is no
+    integer): summaries echo the config as written.
     """
-    unknown = set(doc) - set(fields)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(types) - set(extras)
     if unknown:
         raise ConfigError(f"unknown {where} config fields: {sorted(unknown)}")
-    for name, (kind, ok) in fields.items():
-        if name in doc and not ok(doc[name]):
-            raise ConfigError(f"{where} config field {name!r} must be {kind}, "
-                              f"got {doc[name]!r}")
+    values = {}
+    for name, value in doc.items():
+        if name in types:
+            kind, ok = _JSON_TYPES[types[name]]
+            if not ok(value):
+                raise ConfigError(f"{where} config field {name!r} must be {kind}, "
+                                  f"got {value!r}")
+            values[name] = tuple(value) if isinstance(value, list) else value
+    return values
 
 
 def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
@@ -136,20 +131,21 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+# The world config's CLI-only fields, each with its default and least value.
+_WORLD_COUNTS = {"triples": (30, 1), "val_size": (0, 0), "test_size": (0, 0)}
+
+
 def _world_from_config(doc: dict) -> tuple[SyntheticWorld, int, int, int]:
-    _check_fields(doc, _WORLD_FIELDS, "world")
-    world = SyntheticWorld(
-        concepts=doc.get("concepts", 5),
-        seed=doc["seed"],
-        image_noise=doc.get("image_noise", 0.05),
-        sound_noise=doc.get("sound_noise", 0.05),
-        text_noise=doc.get("text_noise", 0.5),
-        words_per_concept=doc.get("words_per_concept", 50),
-        teacher_smoothing=doc.get("teacher_smoothing", 0.01),
-        output_dim=doc.get("output_dim", 64),
-    )
-    n = doc.get("triples", 30)
-    return world, n, doc.get("val_size", 0), doc.get("test_size", 0)
+    world = SyntheticWorld(**{"concepts": 5,
+                              **_fields(SyntheticWorld, doc, "world", _WORLD_COUNTS)})
+    counts = []
+    for name, (default, least) in _WORLD_COUNTS.items():
+        value = doc.get(name, default)
+        if not (_is_int(value) and value >= least):
+            raise ConfigError(f"world config field {name!r} must be an integer >= {least}, "
+                              f"got {value!r}")
+        counts.append(value)
+    return (world, *counts)
 
 
 def cmd_gen_data(args) -> int:
@@ -169,28 +165,18 @@ def _spec_from_config(doc: dict):
     scale = doc.get("scale", 1 / 16)
     if scale == "paper":
         return default_paper_spec()
+    if not _is_number(scale):
+        raise ConfigError(f'train config field \'scale\' must be a number or "paper", '
+                          f"got {scale!r}")
     return desk_spec(float(scale))
 
 
 def _train_config(doc: dict) -> TrainConfig:
-    _check_fields(doc, _TRAIN_FIELDS, "train")
-    loss_doc = dict(doc.get("loss", {}))
-    _check_fields(loss_doc, _LOSS_FIELDS, "loss")
-    if "ranking_layers" in loss_doc:
-        loss_doc["ranking_layers"] = tuple(loss_doc["ranking_layers"])
-    loss_doc.setdefault("seed", doc["seed"])
-    return TrainConfig(
-        seed=doc["seed"],
-        learning_rate=doc.get("learning_rate", 1e-4),
-        batch_size=doc.get("batch_size", 200),
-        iterations=doc.get("iterations", 50_000),
-        beta1=doc.get("beta1", 0.9),
-        beta2=doc.get("beta2", 0.999),
-        epsilon=doc.get("epsilon", 1e-8),
-        sigma=doc.get("sigma", 0.01),
-        checkpoint_every=doc.get("checkpoint_every", 0),
-        loss=LossConfig(**loss_doc),
-    )
+    """The train fields, then the nested loss, whose seed defaults to the train seed."""
+    values = _fields(TrainConfig, doc, "train", extras=("scale",))
+    loss = _fields(LossConfig, values.pop("loss", {}), "loss")
+    cfg = TrainConfig(**values)
+    return dataclasses.replace(cfg, loss=LossConfig(**{"seed": cfg.seed, **loss}))
 
 
 def cmd_train(args) -> int:
@@ -213,48 +199,43 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_retrieval(emb, dataset, cfg_doc, out, summary) -> list[str]:
+def _eval_retrieval(emb, dataset, cfg, out, summary) -> list[str]:
     trips = dataset.triple_samples("test")
-    layer = cfg_doc.get("layer", ev.DEFAULT_LAYER)
     results = []
     for src, dst in (("image", "sound"), ("sound", "image"),
                      ("image", "text"), ("text", "image")):
         pairs = [(t[src].id, t[dst].id) for t in trips]
         res = ev.median_rank_retrieval(
-            emb["test", src][layer], emb["test", dst][layer], pairs,
-            cfg_doc.get("n_splits", 1), cfg_doc.get("split_size", len(trips)),
-            cfg_doc["seed"], direction=f"{src}->{dst}")
+            emb["test", src][cfg.layer], emb["test", dst][cfg.layer], pairs,
+            cfg.n_splits, cfg.split_size or len(trips), cfg.seed, direction=f"{src}->{dst}")
         results.append(res)
         summary.setdefault("retrieval", {})[res.direction] = res.average_median_rank
     ev.write_ranks_csv(out / "retrieval_ranks.csv", results)
     return ["retrieval_ranks.csv"]
 
 
-def _eval_bridge(emb, dataset, cfg_doc, out, summary) -> list[str]:
+def _eval_bridge(emb, dataset, cfg, out, summary) -> list[str]:
     trips = dataset.triple_samples("test")
-    layer = cfg_doc.get("layer", ev.DEFAULT_LAYER)
     pairs = [(t["sound"].id, t["text"].id) for t in trips]
     res = ev.bridge_transfer_eval(
-        emb["test", "sound"][layer], emb["test", "text"][layer], pairs,
-        cfg_doc.get("n_splits", 1), cfg_doc.get("split_size", len(trips)), cfg_doc["seed"])
+        emb["test", "sound"][cfg.layer], emb["test", "text"][cfg.layer], pairs,
+        cfg.n_splits, cfg.split_size or len(trips), cfg.seed)
     for direction, r in res.items():
         summary.setdefault("bridge", {})[direction] = r.average_median_rank
     ev.write_ranks_csv(out / "bridge_ranks.csv", list(res.values()))
     return ["bridge_ranks.csv"]
 
 
-def _eval_zero_shot(emb, dataset, cfg_doc, out, summary) -> list[str]:
+def _eval_zero_shot(emb, dataset, cfg, out, summary) -> list[str]:
     if dataset.labels is None:
         raise ConfigError("task zero-shot needs labels.csv next to the manifest")
-    layer = cfg_doc.get("layer", ev.DEFAULT_LAYER)
-    tests = {m: emb["test", m][layer] for m in MODALITIES}
+    tests = {m: emb["test", m][cfg.layer] for m in MODALITIES}
     results = []
     for train_mod in MODALITIES:
         results.extend(ev.zero_shot_transfer(
-            train_mod, emb["train", train_mod][layer], tests, dataset.labels,
-            max(dataset.labels.values()) + 1,
-            c_grid=tuple(cfg_doc.get("svm_c_grid", ev.DEFAULT_C_GRID)),
-            seed=cfg_doc["seed"], iterations=cfg_doc.get("svm_iterations", 300)))
+            train_mod, emb["train", train_mod][cfg.layer], tests, dataset.labels,
+            max(dataset.labels.values()) + 1, c_grid=cfg.svm_c_grid, seed=cfg.seed,
+            iterations=cfg.svm_iterations))
     for res in results:
         summary.setdefault("zero_shot", {})[f"{res.train_modality}->{res.test_modality}"] = \
             res.accuracy
@@ -262,7 +243,7 @@ def _eval_zero_shot(emb, dataset, cfg_doc, out, summary) -> list[str]:
     return ["accuracies.csv"]
 
 
-def _eval_baseline(emb, dataset, cfg_doc, out, summary) -> list[str]:
+def _eval_baseline(emb, dataset, cfg, out, summary) -> list[str]:
     layer = "bottleneck"  # modality-specific features, mapped into vision space
     train_trips = dataset.triple_samples("train")
     test_trips = dataset.triple_samples("test")
@@ -273,8 +254,7 @@ def _eval_baseline(emb, dataset, cfg_doc, out, summary) -> list[str]:
         res = ev.baseline_retrieval(
             emb["train", src][layer], emb["train", "image"][layer], train_pairs,
             emb["test", src][layer], emb["test", "image"][layer], test_pairs,
-            cfg_doc.get("n_splits", 1), cfg_doc.get("split_size", len(test_trips)),
-            cfg_doc["seed"], cfg_doc.get("ridge_lambda", 1e-3),
+            cfg.n_splits, cfg.split_size or len(test_trips), cfg.seed, cfg.ridge_lambda,
             direction=f"{src}->image (ridge)")
         results.append(res)
         summary.setdefault("baseline", {})[res.direction] = res.average_median_rank
@@ -282,14 +262,12 @@ def _eval_baseline(emb, dataset, cfg_doc, out, summary) -> list[str]:
     return ["baseline_ranks.csv"]
 
 
-def _eval_probe(emb, dataset, cfg_doc, out, summary) -> list[str]:
-    layer = cfg_doc.get("layer", ev.DEFAULT_LAYER)
-    k = cfg_doc.get("probe_k", 5)
-    unit_limit = cfg_doc.get("probe_units")
-    listings = ev.probe_units({m: emb["test", m][layer] for m in MODALITIES}, k=k,
-                              units=range(unit_limit) if unit_limit else None)
+def _eval_probe(emb, dataset, cfg, out, summary) -> list[str]:
+    units = range(cfg.probe_units) if cfg.probe_units else None
+    listings = ev.probe_units({m: emb["test", m][cfg.layer] for m in MODALITIES},
+                              k=cfg.probe_k, units=units)
     ev.write_probe_csv(out / "probe.csv", listings)
-    summary["probe"] = {"units": len(listings), "k": k}
+    summary["probe"] = {"units": len(listings), "k": cfg.probe_k}
     return ["probe.csv"]
 
 
@@ -312,15 +290,13 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"unknown eval tasks {unknown}; valid tasks are: {', '.join(EVAL_TASKS)}"
         )
-    _check_fields(doc, _EVAL_FIELDS, "eval")
-    layer = doc.get("layer", ev.DEFAULT_LAYER)
-    ev.check_tap(layer)
+    cfg = ev.EvalConfig(**_fields(ev.EvalConfig, doc, "eval"))
     spec, params, _ = load_checkpoint(args.checkpoint)
     width = {"bottleneck": spec.bottleneck_dim, "shared1": spec.shared_widths[0],
-             "shared2": spec.shared_widths[-1], "softmax": spec.output_dim}[layer]
-    if doc.get("probe_units") is not None and doc["probe_units"] > width:
+             "shared2": spec.shared_widths[-1], "softmax": spec.output_dim}[cfg.layer]
+    if cfg.probe_units is not None and cfg.probe_units > width:
         raise ConfigError(f"eval config field 'probe_units' must be at most the width "
-                          f"of tap {layer!r} ({width}), got {doc['probe_units']}")
+                          f"of tap {cfg.layer!r} ({width}), got {cfg.probe_units}")
     dataset = load_dataset(args.data)
     if not dataset.pair_ids("test"):
         raise ConfigError("dataset has no test split; regenerate with test_size > 0")
@@ -337,10 +313,10 @@ def cmd_eval(args) -> int:
                      "full_scale_reference": ev.FULL_SCALE_REFERENCE}
     artifacts: list[str] = []
     for task in tasks:
-        artifacts.extend(_TASK_RUNNERS[task][0](emb, dataset, doc, out, summary))
+        artifacts.extend(_TASK_RUNNERS[task][0](emb, dataset, cfg, out, summary))
     ev.write_summary_json(out / "summary.json", summary)
     artifacts.append("summary.json")
-    _write_run_manifest(out, "eval", args, doc["seed"], artifacts)
+    _write_run_manifest(out, "eval", args, cfg.seed, artifacts)
     for task in tasks:
         key = task.replace("-", "_")
         if key in summary and isinstance(summary[key], dict):

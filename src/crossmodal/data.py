@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataFormatError, DegenerateInputError
+from .errors import ConfigError, ContractError, DataFormatError, DegenerateInputError, require
 from . import formats
 
 MODALITIES = ("image", "sound", "text")
@@ -205,17 +205,15 @@ class SyntheticWorld:
     output_dim: int = 64
 
     def __post_init__(self):
-        if self.concepts < 2:
-            raise ConfigError(f"need at least 2 concepts, got {self.concepts}")
-        for name in ("image_noise", "sound_noise", "text_noise"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if not 0 <= self.text_noise <= 1:
-            raise ConfigError("text_noise is a resampling probability in [0,1]")
-        if self.output_dim < self.concepts:
-            raise ConfigError(
-                f"output_dim {self.output_dim} cannot encode {self.concepts} concepts"
-            )
+        require(self, self.concepts >= 2, "concepts", ">= 2")
+        require(self, self.seed >= 0, "seed", ">= 0")
+        for name in ("image_noise", "sound_noise"):
+            require(self, getattr(self, name) >= 0, name, ">= 0")
+        for name in ("text_noise", "teacher_smoothing"):  # probabilities
+            require(self, 0 <= getattr(self, name) <= 1, name, "in [0, 1]")
+        require(self, self.words_per_concept >= 1, "words_per_concept", ">= 1")
+        require(self, self.output_dim >= self.concepts, "output_dim",
+                f"at least concepts ({self.concepts})")
 
 
 def _rng(world: SyntheticWorld, *key: int) -> np.random.Generator:
@@ -440,14 +438,6 @@ def schedule_batch(handles: DatasetHandles, batch_size: int, seed: int,
     pair_type = PAIR_TYPES[iteration % 2]
     pool = handles.image_sound if pair_type == "image+sound" else handles.image_text
     return _pool_batch(pool, handles.teacher, pair_type, batch_size, seed, iteration // 2)
-
-
-def batch_iterator(handles: DatasetHandles, batch_size: int, seed: int):
-    """Endless deterministic PairedBatch stream; see schedule_batch."""
-    iteration = 0
-    while True:
-        yield schedule_batch(handles, batch_size, seed, iteration)
-        iteration += 1
 
 
 # -- on-disk datasets ----------------------------------------------------------

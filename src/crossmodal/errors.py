@@ -27,3 +27,10 @@ class DataFormatError(CrossModalError):
 
 class NumericError(CrossModalError):
     """A computation produced NaN/Inf, or training aborted on a non-finite loss."""
+
+
+def require(cfg, ok: bool, name: str, rule: str) -> None:
+    """Raise a ConfigError naming field ``name`` of config ``cfg`` unless ``ok``."""
+    if not ok:
+        raise ConfigError(f"{type(cfg).__name__} field {name!r} must be {rule}, "
+                          f"got {getattr(cfg, name)!r}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .data import Sample
-from .errors import ConfigError, ContractError, DegenerateInputError
+from .errors import ConfigError, ContractError, DegenerateInputError, require
 from .networks import ModelParams, TAP_NAMES, forward_batch
 
 EMBED_BATCH = 64
@@ -61,6 +61,35 @@ FULL_SCALE_REFERENCE = {
 }
 
 
+@dataclass(frozen=True)
+class EvalConfig:
+    """The settings every eval task reads: the tap, the retrieval splits, the
+    zero-shot classifiers, the ridge baseline and the unit probe."""
+
+    seed: int
+    layer: str = DEFAULT_LAYER
+    n_splits: int = 1
+    split_size: int | None = None  # None: every held-out pair
+    probe_k: int = 5
+    probe_units: int | None = None  # None: every unit of the tap
+    svm_iterations: int = 300
+    svm_c_grid: tuple[float, ...] = DEFAULT_C_GRID
+    ridge_lambda: float = 1e-3
+
+    def __post_init__(self):
+        require(self, self.seed >= 0, "seed", ">= 0")
+        require(self, self.layer in TAP_NAMES, "layer", f"a tap among {TAP_NAMES}")
+        for name in ("n_splits", "probe_k", "svm_iterations"):
+            require(self, getattr(self, name) >= 1, name, ">= 1")
+        require(self, self.split_size is None or self.split_size >= 2, "split_size",
+                ">= 2 or None")
+        require(self, self.probe_units is None or self.probe_units >= 1, "probe_units",
+                ">= 1 or None")
+        require(self, len(self.svm_c_grid) > 0 and min(self.svm_c_grid) > 0, "svm_c_grid",
+                "non-empty and positive")
+        require(self, self.ridge_lambda > 0, "ridge_lambda", "> 0")
+
+
 def embed_taps(params: ModelParams, samples: list[Sample]) -> dict[str, dict[str, np.ndarray]]:
     """One representation vector per sample at every tap: {tap: {id: vector}}.
 
@@ -82,16 +111,11 @@ def embed_taps(params: ModelParams, samples: list[Sample]) -> dict[str, dict[str
     return taps
 
 
-def check_tap(layer: str) -> None:
-    """Raise a ConfigError unless ``layer`` names a tap."""
-    if layer not in TAP_NAMES:
-        raise ConfigError(f"unknown tap {layer!r}; valid taps are {TAP_NAMES}")
-
-
 def embed_all(params: ModelParams, samples: list[Sample],
               layer: str = DEFAULT_LAYER) -> dict[str, np.ndarray]:
     """One representation vector per sample at one tap, keyed by id."""
-    check_tap(layer)
+    if layer not in TAP_NAMES:
+        raise ConfigError(f"unknown tap {layer!r}; valid taps are {TAP_NAMES}")
     return embed_taps(params, samples)[layer]
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DegenerateInputError, NumericError
+from .errors import ConfigError, ContractError, DegenerateInputError, NumericError, require
 from .networks import TAP_NAMES, ModelParams, forward_batch
 
 STUDENT_PROB_FLOOR = 1e-12
@@ -35,20 +35,19 @@ class LossConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.margin > 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        for name, w in (("kl_weight", self.kl_weight), ("ranking_weight", self.ranking_weight)):
-            if not np.isfinite(w) or w < 0:
-                raise ConfigError(f"{name} must be finite and nonnegative, got {w}")
+        require(self, self.margin > 0, "margin", "> 0")
+        for name in ("kl_weight", "ranking_weight"):
+            w = getattr(self, name)
+            require(self, np.isfinite(w) and w >= 0, name, "finite and >= 0")
         if self.kl_weight == 0 and self.ranking_weight == 0:
             raise ConfigError("at least one loss term must have positive weight")
-        unknown = set(self.ranking_layers) - set(TAP_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown ranking layers {sorted(unknown)}; valid: {TAP_NAMES}")
-        if self.ranking_weight > 0 and not self.ranking_layers:
-            raise ConfigError("ranking loss enabled but no ranking layers selected")
-        if self.negatives_per_positive is not None and self.negatives_per_positive < 1:
-            raise ConfigError("negatives_per_positive must be >= 1")
+        require(self, set(self.ranking_layers) <= set(TAP_NAMES), "ranking_layers",
+                f"taps among {TAP_NAMES}")
+        require(self, self.ranking_weight == 0 or len(self.ranking_layers) > 0,
+                "ranking_layers", "non-empty while ranking_weight > 0")
+        require(self, self.negatives_per_positive is None or self.negatives_per_positive >= 1,
+                "negatives_per_positive", ">= 1 or None")
+        require(self, self.seed >= 0, "seed", ">= 0")
 
 
 def kl_transfer_loss(teacher_probs, student_probs: Tensor) -> Tensor:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .autodiff import backward
 from .data import DatasetHandles, schedule_batch
-from .errors import ConfigError, ContractError, DataFormatError, DegenerateInputError, NumericError
+from .errors import (ConfigError, ContractError, DataFormatError, DegenerateInputError,
+                     NumericError, require)
 from .formats import load_tensor, save_tensor
 from .losses import LossConfig, combined_loss
 from .networks import (
@@ -50,16 +51,15 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch size must be >= 2, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("Adam betas must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("Adam epsilon must be positive")
+        require(self, self.seed >= 0, "seed", ">= 0")
+        require(self, self.learning_rate > 0, "learning_rate", "> 0")
+        require(self, self.batch_size >= 2, "batch_size", ">= 2")
+        require(self, self.iterations >= 1, "iterations", ">= 1")
+        for name in ("beta1", "beta2"):
+            require(self, 0 <= getattr(self, name) < 1, name, "in [0, 1)")
+        require(self, self.epsilon > 0, "epsilon", "> 0")
+        require(self, self.sigma > 0, "sigma", "> 0")
+        require(self, self.checkpoint_every >= 0, "checkpoint_every", ">= 0")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, exit codes, bitwise reruns."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,10 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from crossmodal import cli
 from crossmodal import evaluation as ev
 from crossmodal import networks as nets
 from crossmodal import training
 from crossmodal.cli import main
+from crossmodal.data import SyntheticWorld
+from crossmodal.losses import LossConfig
+from crossmodal.training import TrainConfig
 
 WORLD = {
     "seed": 7,
@@ -327,6 +332,23 @@ def test_unknown_config_field_exits_2(pipeline, tmp_path):
     ("eval", "split_size", 1),
     ("eval", "ridge_lambda", 0),
     ("eval", "ridge_lambda", -1e-3),
+    # world values out of range
+    ("gen-data", "words_per_concept", 0),
+    ("gen-data", "teacher_smoothing", 2),
+    ("gen-data", "teacher_smoothing", -0.5),
+    ("gen-data", "test_size", -2),
+    ("gen-data", "triples", 0),
+    # negative seeds, in every config
+    ("gen-data", "seed", -1),
+    ("train", "seed", -1),
+    ("train", "loss", {"seed": -1}),
+    ("eval", "seed", -1),
+    # train and loss values out of range
+    ("train", "learning_rate", 0),
+    ("train", "batch_size", 1),
+    ("train", "beta1", 1.0),
+    ("train", "loss", {"margin": 0}),
+    ("train", "loss", {"negatives_per_positive": 0}),
 ])
 def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
                                                   command, field, value):
@@ -340,5 +362,17 @@ def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
     code = main([command, "--config", cfg, *args, "--out", str(tmp_path / "out")])
     assert code == 2
     assert not (tmp_path / "out").exists()  # rejected before anything is written
-    named = "margin" if field == "loss" else field
+    named = next(iter(value)) if field == "loss" else field
     assert f"{named!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_seed_only_configs_build_the_library_defaults(seed):
+    doc = {"seed": seed}
+    assert cli._world_from_config(doc) == (SyntheticWorld(concepts=5, seed=seed), 30, 0, 0)
+    assert cli._train_config(doc) == TrainConfig(seed=seed, loss=LossConfig(seed=seed))
+    assert cli._spec_from_config(doc) == nets.desk_spec(1 / 16)
+    assert ev.EvalConfig(**cli._fields(ev.EvalConfig, doc, "eval")) == ev.EvalConfig(seed=seed)
+    # every config field's annotation has a JSON type to check values against
+    for cls in (SyntheticWorld, TrainConfig, LossConfig, ev.EvalConfig):
+        assert all(f.type in cli._JSON_TYPES for f in dataclasses.fields(cls)), cls

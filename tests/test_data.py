@@ -223,8 +223,7 @@ def _handles(n=10, concepts=3, seed=0):
 
 def test_batch_iterator_alternates_and_covers_epoch():
     handles = _handles(n=9)
-    it = dat.batch_iterator(handles, batch_size=3, seed=0)
-    batches = [next(it) for _ in range(6)]
+    batches = [dat.schedule_batch(handles, 3, 0, i) for i in range(6)]
     assert [b.pair_type for b in batches] == ["image+sound", "image+text"] * 3
     sound_ids = [s.id for b in batches[0::2] for s in b.positives]
     text_ids = [s.id for b in batches[1::2] for s in b.positives]
@@ -233,11 +232,9 @@ def test_batch_iterator_alternates_and_covers_epoch():
 
 
 def test_batch_iterator_deterministic():
-    a = [next(dat.batch_iterator(_handles(), 4, seed=7)) for _ in range(1)]
-    ita = dat.batch_iterator(_handles(), 4, seed=7)
-    itb = dat.batch_iterator(_handles(), 4, seed=7)
-    for _ in range(8):
-        ba, bb = next(ita), next(itb)
+    ha, hb = _handles(), _handles()
+    for i in range(8):
+        ba, bb = dat.schedule_batch(ha, 4, 7, i), dat.schedule_batch(hb, 4, 7, i)
         assert [s.id for s in ba.anchors] == [s.id for s in bb.anchors]
         assert [s.id for s in ba.positives] == [s.id for s in bb.positives]
 
@@ -257,8 +254,7 @@ def test_batch_size_exceeding_pool_rejected():
 
 def test_trailing_singleton_batch_merges():
     handles = _handles(n=7)
-    it = dat.batch_iterator(handles, batch_size=3, seed=0)
-    sizes = [len(next(it).anchors) for _ in range(6)]
+    sizes = [len(dat.schedule_batch(handles, 3, 0, i).anchors) for i in range(6)]
     assert sizes == [3, 3, 4, 4, 3, 3]  # 7 = 3 + 4 per modality epoch, pools interleaved
 
 
