@@ -1,4 +1,16 @@
-"""Aligned image/sound/text representations on a small autodiff core."""
+"""Aligned image/sound/text representations on a small autodiff core.
+
+Importing the package pins numpy's bundled OpenBLAS to one thread
+(``BLAS_THREADS`` is the count in effect, None under another BLAS): a
+multithreaded BLAS splits long reductions by thread, so the bits of a
+training run would follow ``OPENBLAS_NUM_THREADS``. The desk models gain
+nothing from a second thread.
+"""
+
+import ctypes
+from pathlib import Path
+
+import numpy as np
 
 from .autodiff import (
     Tensor,
@@ -42,3 +54,22 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def _pin_blas_threads() -> int | None:
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*scipy_openblas*"),
+                        *root.glob(".dylibs/*scipy_openblas*")]):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
+                set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads(1)
+                return get_threads()
+    return None
+
+
+BLAS_THREADS = _pin_blas_threads()

@@ -246,12 +246,58 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return add(matmul(x, weight), bias)
 
 
+def _conv_same_backward(x: np.ndarray, kern: np.ndarray, g: np.ndarray,
+                        need_dx: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """Input and kernel gradients of a stride-1 "same" convolution, in any
+    number of spatial dimensions: one GEMM per kernel tap and no window copy.
+
+    x: (B, C, *S), kern: (F, C, *K) with odd K, g: (B, F, *S). The padded
+    input is laid out channels-last as one flat (n, C) array, a row per padded
+    position (n = B * prod(padded S)), plus zero rows at the end for the
+    last tap's shift. The upstream gradient sits on the same rows, at each
+    output's first tap, and is zero on the rows past S in each sample. Tap k
+    then reads the input rows shifted by its flat offset off (a*Wp + b for
+    tap (a, b) in 2-D): its kernel gradient is gm.T @ xf[off:off + n] and it
+    adds gm @ kern[..., k] to dxf[off:off + n]. The zero rows cost
+    prod(padded S) / prod(S) - 1 extra work. BLAS sums in its own order, so
+    the result is not bitwise that of a per-tap einsum.
+    """
+    B, C, *S = x.shape
+    F, _, *K = kern.shape
+    pads = [(k - 1) // 2 for k in K]
+    Sp = [s + 2 * p for s, p in zip(S, pads)]
+    n = B * int(np.prod(Sp))
+    row_steps = np.cumprod([1, *Sp[:0:-1]])[::-1]  # flat rows per step along each axis
+    offsets = [int(np.dot(tap, row_steps)) for tap in np.ndindex(*K)]
+    inner = (slice(None), *(slice(p, p + s) for p, s in zip(pads, S)))
+
+    xf = np.zeros((n + offsets[-1], C))
+    xf[:n].reshape(B, *Sp, C)[inner] = np.moveaxis(x, 1, -1)
+    gm = np.zeros((n, F))
+    gm.reshape(B, *Sp, F)[(slice(None), *(slice(0, s) for s in S))] = np.moveaxis(g, 1, -1)
+    taps = np.ascontiguousarray(np.moveaxis(kern.reshape(F, C, -1), -1, 0))  # (T, F, C)
+    dk = np.empty((F, C, len(offsets)))
+    # A data batch needs no input gradient.
+    dxf = np.zeros_like(xf) if need_dx else None
+    for t, off in enumerate(offsets):
+        dk[:, :, t] = gm.T @ xf[off:off + n]
+        if dxf is not None:
+            dxf[off:off + n] += gm @ taps[t]
+    dk = dk.reshape(kern.shape)
+    if dxf is None:
+        return None, dk
+    return np.ascontiguousarray(np.moveaxis(dxf[:n].reshape(B, *Sp, C)[inner], -1, 1)), dk
+
+
 def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Same-length 1-D cross-correlation, stride 1, zero padding (K-1)/2.
 
     x: (B, C, L), kernels: (F, C, K) with K odd, bias: (F,) -> (B, F, L).
     Forward accumulates one kernel tap at a time (einsum over channels),
     which keeps the summation order identical to a nested-loop evaluation.
+    Backward runs one GEMM per tap on a shifted view of the flat,
+    channels-last padded input (see ``_conv_same_backward``); it is not
+    bitwise equal to the per-tap einsum, only to within rounding.
     """
     if x.data.ndim != 3 or kernels.data.ndim != 3 or bias.data.ndim != 1:
         raise ShapeError(
@@ -268,8 +314,7 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             f"kernels {kernels.data.shape}, bias {bias.data.shape}"
         )
     pad = (K - 1) // 2
-    Lp = L + 2 * pad
-    xp = np.zeros((B, C, Lp))
+    xp = np.zeros((B, C, L + 2 * pad))
     xp[:, :, pad:pad + L] = x.data
 
     out = np.zeros((B, F, L))
@@ -279,28 +324,10 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     out += bias.data[None, :, None]
 
     def bk(g):
-        # Gradients only need 1e-4 relative accuracy, so restructure the
-        # contractions as contiguous matmuls (much faster than strided einsum).
-        db = g.sum(axis=(0, 2))
-        gm = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * L, F)
         # The padded input is rebuilt here, so no forward temporary outlives
         # the forward pass.
-        xpt = np.zeros((B, Lp, C))
-        xpt[:, pad:pad + L, :] = x.data.transpose(0, 2, 1)
-        # The input-layer windows are as large as the sound batch itself: one
-        # buffer serves every tap, and no dx is built for a data batch.
-        dk = np.empty_like(kern)
-        dxpt = np.zeros((B, Lp, C)) if x.requires_grad else None
-        win = np.empty((B, L, C))
-        for t in range(K):
-            np.copyto(win, xpt[:, t:t + L, :])
-            dk[:, :, t] = gm.T @ win.reshape(B * L, C)
-            if dxpt is not None:
-                dxpt[:, t:t + L, :] += (gm @ kern[:, :, t]).reshape(B, L, C)
-        if dxpt is None:
-            return None, dk, db
-        dx = np.ascontiguousarray(dxpt.transpose(0, 2, 1)[:, :, pad:pad + L])
-        return dx, dk, db
+        dx, dk = _conv_same_backward(x.data, kern, g, x.requires_grad)
+        return dx, dk, g.sum(axis=(0, 2))
 
     return _node(out, (x, kernels, bias), bk, "conv1d_same")
 
@@ -315,6 +342,10 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
     nested-loop evaluation. Each tap's strided window is first copied into
     one contiguous (B, C, Ho, Wo) buffer, so the einsum runs one long loop
     over the whole map instead of one output row at a time.
+    At stride 1, backward runs one GEMM per tap on a shifted view of the
+    flat, channels-last padded input (see ``_conv_same_backward``); it is not
+    bitwise equal to the per-tap einsum, only to within rounding. A strided
+    conv keeps the per-tap einsum backward.
     """
     if x.data.ndim != 4 or kernels.data.ndim != 4 or bias.data.ndim != 1:
         raise ShapeError(
@@ -359,8 +390,11 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
     out += bias.data[None, :, None, None]
 
     def bk(g):
-        xp = padded()  # rebuilt, so no forward temporary outlives the forward
         db = g.sum(axis=(0, 2, 3))
+        if stride == 1:
+            dx, dk = _conv_same_backward(x.data, kern, g, x.requires_grad)
+            return dx, dk, db
+        xp = padded()  # rebuilt, so no forward temporary outlives the forward
         dk = np.empty_like(kern)
         # A data batch needs no input gradient.
         dxp = np.zeros_like(xp) if x.requires_grad else None

@@ -9,8 +9,9 @@ Configs are JSON and must carry an explicit seed; nothing is ever sampled
 from the clock. A config holds the fields of one dataclass, which states
 their defaults and ranges (SyntheticWorld, TrainConfig with its LossConfig,
 EvalConfig), plus a few CLI-only fields. Every command writes a run manifest listing its artifacts,
-and rerunning a command at a fixed BLAS thread count reproduces those
-artifacts bitwise (the manifest's timestamp and environment aside). Exit
+and rerunning a command reproduces those artifacts bitwise (the manifest's
+timestamp and environment aside): the package pins numpy's bundled OpenBLAS
+to one thread, and under another BLAS the thread count must be fixed. Exit
 codes: 0 ok, 2 config error, 3 data error, 4 numeric abort.
 """
 
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREADS
 from . import evaluation as ev
 from .data import SyntheticWorld, load_dataset, write_dataset
 from .errors import (
@@ -47,7 +49,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-# The thread count of a multithreaded BLAS changes the bits of its sums.
+# The thread count of a multithreaded BLAS changes the bits of its sums; they
+# matter only where the package could not pin BLAS to one thread.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -125,6 +128,7 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
         "artifacts": sorted(artifacts),
         "environment": {"numpy": np.__version__,
                         "blas": {k: blas.get(k) for k in ("name", "version")},
+                        "blas_threads": BLAS_THREADS,
                         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
     }
     (out_dir / "run_manifest.json").write_text(
@@ -145,6 +149,10 @@ def _world_from_config(doc: dict) -> tuple[SyntheticWorld, int, int, int]:
             raise ConfigError(f"world config field {name!r} must be an integer >= {least}, "
                               f"got {value!r}")
         counts.append(value)
+    n, val_size, test_size = counts
+    if val_size + test_size > n:
+        raise ConfigError(f"world config fields 'val_size' + 'test_size' ({val_size} + "
+                          f"{test_size}) must be at most 'triples' ({n})")
     return (world, *counts)
 
 
@@ -298,8 +306,13 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"eval config field 'probe_units' must be at most the width "
                           f"of tap {cfg.layer!r} ({width}), got {cfg.probe_units}")
     dataset = load_dataset(args.data)
-    if not dataset.pair_ids("test"):
+    held_out = len(dataset.pair_ids("test"))
+    if not held_out:
         raise ConfigError("dataset has no test split; regenerate with test_size > 0")
+    if cfg.n_splits * (cfg.split_size or held_out) > held_out:
+        raise ConfigError(f"eval config fields 'n_splits' x 'split_size' ({cfg.n_splits} x "
+                          f"{cfg.split_size or held_out}) must be at most the {held_out} "
+                          f"held-out pairs")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -55,7 +55,8 @@ def kl_transfer_loss(teacher_probs, student_probs: Tensor) -> Tensor:
 
     Both inputs must be row-stochastic; 0*log(0) is treated as 0 on the
     teacher side, and student entries are clamped at 1e-12 inside the log so
-    early training cannot produce -inf.
+    early training cannot produce -inf. Malformed rows are a ContractError; a
+    student entry of exactly 0 (an underflowed softmax) is a NumericError.
     """
     teacher = np.asarray(teacher_probs.data if isinstance(teacher_probs, Tensor)
                          else teacher_probs, dtype=np.float64)
@@ -70,7 +71,10 @@ def kl_transfer_loss(teacher_probs, student_probs: Tensor) -> Tensor:
     if np.abs(student_probs.data.sum(axis=1) - 1.0).max() > 1e-6:
         raise ContractError("student rows must sum to 1 within 1e-6")
     if (student_probs.data <= 0).any():
-        raise ContractError("student probabilities must be strictly positive")
+        # A softmax output reaches 0 only by underflow: a diverging run, not a
+        # caller mistake.
+        raise NumericError("student probabilities must be strictly positive "
+                           "(the softmax underflowed)")
 
     batch = teacher.shape[0]
     entropy = float(np.sum(teacher * np.log(teacher, where=teacher > 0,

@@ -1,5 +1,8 @@
 """Tensor op forwards against independent oracles, and gradient integrity."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -409,6 +412,22 @@ def op_gradient_cases(rng):
     cases.append(("conv2d_same_stride2", {"x": c2x, "k": c2k, "b": c2b},
                   lambda: ad.sum_all(ad.mul(ad.conv2d_same(c2x, c2k, c2b, stride=2), rc2))))
 
+    # Stride 1 runs the flat shifted-view backward: a kernel wider than the
+    # map, and a sequence shorter than its padding.
+    s1x = Tensor(rng.normal(size=(2, 2, 5, 4)), requires_grad=True)
+    s1k = Tensor(rng.normal(size=(3, 2, 3, 5)), requires_grad=True)
+    s1b = Tensor(rng.normal(size=3), requires_grad=True)
+    rs1 = Tensor(rng.normal(size=(2, 3, 5, 4)))
+    cases.append(("conv2d_same_stride1", {"x": s1x, "k": s1k, "b": s1b},
+                  lambda: ad.sum_all(ad.mul(ad.conv2d_same(s1x, s1k, s1b), rs1))))
+
+    k5x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    k5k = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    k5b = Tensor(rng.normal(size=2), requires_grad=True)
+    rk5 = Tensor(rng.normal(size=(2, 2, 4)))
+    cases.append(("conv1d_same_k5", {"x": k5x, "k": k5k, "b": k5b},
+                  lambda: ad.sum_all(ad.mul(ad.conv1d_same(k5x, k5k, k5b), rk5))))
+
     p1 = Tensor(rng.uniform(-2, 2, size=(2, 2, 7)), requires_grad=True)
     rp1 = Tensor(rng.normal(size=(2, 2, 3)))
     cases.append(("maxpool1d_ragged", {"x": p1},
@@ -484,6 +503,41 @@ def test_conv_data_input_gets_same_kernel_grad(op, x_shape, k_shape):
         assert np.array_equal(with_dx, without_dx)
 
 
+def conv_backward_einsum(x, kern, g):
+    """Stride-1 dx and dk as per-tap einsums over the padded input: the
+    formulas the flat shifted-view GEMMs replaced."""
+    pads = [(k - 1) // 2 for k in kern.shape[2:]]
+    S = x.shape[2:]
+    xp = np.pad(x, [(0, 0), (0, 0), *[(p, p) for p in pads]])
+    dk, dxp = np.empty_like(kern), np.zeros_like(xp)
+    sub = "lm"[:len(S)]
+    for tap in np.ndindex(*kern.shape[2:]):
+        win = (slice(None), slice(None), *(slice(t, t + n) for t, n in zip(tap, S)))
+        dk[(slice(None), slice(None), *tap)] = np.einsum(f"bf{sub},bc{sub}->fc", g, xp[win])
+        dxp[win] += np.einsum(f"bf{sub},fc->bc{sub}", g, kern[(slice(None), slice(None), *tap)])
+    inner = (slice(None), slice(None), *(slice(p, p + n) for p, n in zip(pads, S)))
+    return dxp[inner], dk
+
+
+@pytest.mark.parametrize("op,x_shape,k_shape,x_needs_grad", [
+    (ad.conv1d_same, (8, 257, 500), (8, 257, 11), False),  # the sound input layer
+    (ad.conv1d_same, (8, 16, 16), (16, 16, 3), True),  # a desk text layer
+    (ad.conv2d_same, (8, 16, 8, 8), (16, 16, 3, 3), True),  # 36 padding rows per 64
+], ids=["sound_input", "text", "map_8x8"])
+def test_conv_backward_matches_per_tap_einsum(op, x_shape, k_shape, x_needs_grad):
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=x_needs_grad)
+    k = Tensor(rng.normal(size=k_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=k_shape[0]), requires_grad=True)
+    g = rng.normal(size=(x_shape[0], k_shape[0], *x_shape[2:]))
+    ad.sum_all(ad.mul(op(x, k, b), Tensor(g))).backward()
+    want_dx, want_dk = conv_backward_einsum(x.data, k.data, g)
+    got = [(k.grad, want_dk)] + ([(x.grad, want_dx)] if x_needs_grad else [])
+    for have, want in got:
+        assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(b.grad, g.sum(axis=(0, *range(2, g.ndim))))
+
+
 @pytest.mark.parametrize("op,x_shape,k_shape", [
     (ad.conv1d_same, (4, 16, 200), (8, 16, 5)),
     (ad.conv2d_same, (2, 8, 30, 30), (4, 8, 5, 5)),
@@ -504,3 +558,24 @@ def test_conv_node_retains_no_padded_input(op, x_shape, k_shape):
         tracemalloc.stop()
     assert out._backward_fn is not None
     assert retained < out.data.nbytes + x.data.nbytes // 2
+
+
+def test_kernel_gradient_bits_do_not_follow_the_blas_thread_count():
+    # The sound input layer's kernel gradient is one long GEMM reduction,
+    # which a multithreaded OpenBLAS splits by thread. Importing the package
+    # pins numpy's OpenBLAS to one thread, so the bits hold at any setting.
+    import crossmodal
+    if crossmodal.BLAS_THREADS is None:
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    code = ("import hashlib, numpy as np, crossmodal\n"
+            "from crossmodal import autodiff as ad\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = ad.Tensor(rng.normal(size=(8, 257, 500)))\n"
+            "k = ad.Tensor(rng.normal(size=(8, 257, 11)), requires_grad=True)\n"
+            "ad.sum_all(ad.conv1d_same(x, k, ad.Tensor(np.zeros(8)))).backward()\n"
+            "print(crossmodal.BLAS_THREADS, hashlib.sha256(k.grad.tobytes()).hexdigest())\n")
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    assert runs[0].stdout.split()[0] == "1"
+    assert runs[0].stdout == runs[1].stdout

@@ -118,8 +118,9 @@ def test_run_manifest_lists_artifacts(pipeline):
     assert any(a.startswith("checkpoint/final") for a in run_doc["artifacts"])
     # the BLAS library and thread count fix the bits of every artifact
     for env in (doc["environment"], run_doc["environment"]):
-        assert set(env) == {"numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                            "MKL_NUM_THREADS"}
+        assert set(env) == {"numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS",
+                            "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["blas_threads"] == 1
         assert set(env["blas"]) == {"name", "version"}
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert env[var] == os.environ.get(var)
@@ -181,16 +182,13 @@ def test_eval_rerun_byte_identical(pipeline, tmp_path):
 
 
 # sha256 of the reports of an all-task eval of the pipeline below. probe.csv
-# lists a trained model's activations, and the last bits of training follow
-# the BLAS thread count, so it has one hash per thread count it was taken at.
+# lists a trained model's activations: the last bits of training follow the
+# BLAS thread count, which the package pins to one.
 EVAL_REPORT_SHA256 = {
     "accuracies.csv": "d8698fa0f0ebee4da6f537d02a9339475be94d3321132267d7ba70f451c8dc62",
     "baseline_ranks.csv": "5263e9ef77a718192600ccddfe45afc01e28c6ac7506cdd4cb8c9f4c364e43e2",
     "bridge_ranks.csv": "e2b1a6943fc9fbf21b9f6d26116b27eac9413607170227afddd6ca3598359b4c",
-    "probe.csv": {
-        "1 thread": "9baef1b6d7313e0e3ff292a7002f249eb6757de2f29325a5d7769e5004454395",
-        "2 threads": "fb9352cfdb3f61d5a04cfd863464452f33c1e7f909cc66eefc5b4e7e6cace47a",
-    },
+    "probe.csv": "c12c792348c605ba176984941a68811639bb49fb0cf9c8966efa738ddab42769",
     "retrieval_ranks.csv": "2ecb0185d1bacbb5d815f72043da4a05193b195a2c8079adfd869c17a0c4ce9b",
     "summary.json": "06e349ed9ab4137162ef46a667aab20f2e6ff60b86f3bcf8b3ee0feccb577c7b",
 }
@@ -227,7 +225,7 @@ def test_eval_embeds_each_batch_once_and_fits_once_per_training_modality(
     got = {name: hashlib.sha256(data).hexdigest() for name, data in _tree_bytes(out).items()}
     assert got.keys() == EVAL_REPORT_SHA256.keys()
     for name, want in EVAL_REPORT_SHA256.items():
-        assert got[name] in ((want,) if isinstance(want, str) else want.values()), name
+        assert got[name] == want, name
 
 
 def test_unknown_tap_exits_2(pipeline, tmp_path):
@@ -294,6 +292,19 @@ def test_degenerate_training_rows_exit_4(pipeline, tmp_path, monkeypatch, capsys
                  str(data_dir / "manifest.csv"), "--out", str(tmp_path / "r")])
     assert code == 4
     assert "iteration 0" in capsys.readouterr().err
+
+
+def test_underflowed_student_softmax_exits_4_naming_the_iteration(pipeline, tmp_path,
+                                                                  capsys):
+    # At learning rate 1 a student softmax underflows to exact zeros on the
+    # second step: the run diverged, the config is well formed.
+    _, data_dir, _ = pipeline
+    train_cfg = _write(tmp_path / "diverge.json", {**TRAIN, "learning_rate": 1.0})
+    code = main(["train", "--config", train_cfg, "--data",
+                 str(data_dir / "manifest.csv"), "--out", str(tmp_path / "r")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "iteration 1: kl term" in err and "strictly positive" in err
 
 
 def test_unknown_config_field_exits_2(pipeline, tmp_path):
@@ -364,6 +375,26 @@ def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
     assert not (tmp_path / "out").exists()  # rejected before anything is written
     named = next(iter(value)) if field == "loss" else field
     assert f"{named!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,fields,doc", [
+    ("gen-data", ("val_size", "test_size"), {**WORLD, "val_size": 20, "test_size": 11}),
+    ("eval", ("n_splits", "split_size"), {**EVAL, "n_splits": 2, "split_size": 4}),
+    ("eval", ("n_splits", "split_size"), {**EVAL, "n_splits": 2, "split_size": None}),
+])
+def test_counts_above_the_data_exit_2_before_writing(pipeline, tmp_path, capsys,
+                                                     command, fields, doc):
+    # The world has 30 triples, 6 of them held out.
+    _, data_dir, run_dir = pipeline
+    args = {"gen-data": [],
+            "eval": ["--data", str(data_dir / "manifest.csv"),
+                     "--checkpoint", str(run_dir / "checkpoint" / "final")]}[command]
+    code = main([command, "--config", _write(tmp_path / "cfg.json", doc), *args,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out").exists()  # rejected before anything is written
+    err = capsys.readouterr().err
+    assert all(f"{field!r}" in err for field in fields)
 
 
 @pytest.mark.parametrize("seed", [0, 11])

@@ -8,7 +8,7 @@ from crossmodal import autodiff as ad
 from crossmodal import networks as nets
 from crossmodal.autodiff import Tensor
 from crossmodal.data import PairedBatch, Sample
-from crossmodal.errors import ConfigError, ContractError
+from crossmodal.errors import ConfigError, ContractError, NumericError
 from crossmodal.losses import (
     LossConfig,
     combined_loss,
@@ -86,6 +86,13 @@ def test_kl_rejects_non_stochastic_rows():
         kl_transfer_loss(np.array([[0.5, 0.4]]), Tensor([[0.5, 0.5]]))
     with pytest.raises(ContractError):
         kl_transfer_loss(np.array([[0.5, 0.5]]), Tensor([[0.7, 0.4]]))
+
+
+def test_kl_underflowed_student_is_a_numeric_error():
+    # An exact 0 in a row-stochastic student is a softmax that underflowed:
+    # a diverging run (exit 4), not a caller mistake (exit 2).
+    with pytest.raises(NumericError, match="strictly positive"):
+        kl_transfer_loss(np.array([[0.5, 0.5]]), Tensor([[1.0, 0.0]]))
 
 
 def test_kl_gradient_matches_finite_differences():
