@@ -33,6 +33,9 @@ _uid_counter = itertools.count()
 
 COSINE_NORM_EPS = 1e-8
 COSINE_MIN_NORM = 1e-12
+# Most output values one conv1d_same forward block accumulates at once: 32 KB
+# of float64, one sample of the desk sound input layer (8 x 500).
+CONV1D_BLOCK_VALUES = 4096
 
 
 class Tensor:
@@ -293,8 +296,15 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Same-length 1-D cross-correlation, stride 1, zero padding (K-1)/2.
 
     x: (B, C, L), kernels: (F, C, K) with K odd, bias: (F,) -> (B, F, L).
-    Forward accumulates one kernel tap at a time (einsum over channels),
-    which keeps the summation order identical to a nested-loop evaluation.
+    Forward walks the batch in blocks of samples whose output holds at most
+    CONV1D_BLOCK_VALUES values, so the accumulator stays in cache while every
+    channel of every tap sweeps it. Within a block it accumulates one kernel
+    tap at a time (einsum over channels), which keeps the summation order
+    identical to a nested-loop evaluation. It reads the unpadded input: tap t
+    adds only into the output columns whose input it covers, and a tap that
+    covers none is skipped. A padded column would add an exact zero to a sum
+    that starts at +0.0 and so is never -0.0, which changes no bit; the
+    result is bitwise that of the padded, unblocked loop.
     Backward runs one GEMM per tap on a shifted view of the flat,
     channels-last padded input (see ``_conv_same_backward``); it is not
     bitwise equal to the per-tap einsum, only to within rounding.
@@ -314,14 +324,18 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             f"kernels {kernels.data.shape}, bias {bias.data.shape}"
         )
     pad = (K - 1) // 2
-    xp = np.zeros((B, C, L + 2 * pad))
-    xp[:, :, pad:pad + L] = x.data
-
-    out = np.zeros((B, F, L))
     kern = kernels.data
-    for t in range(K):
-        out += np.einsum("bcl,fc->bfl", xp[:, :, t:t + L], kern[:, :, t])
-    out += bias.data[None, :, None]
+    out = np.zeros((B, F, L))
+    per_block = max(1, CONV1D_BLOCK_VALUES // (F * L))
+    for b0 in range(0, B, per_block):
+        xb, ob = x.data[b0:b0 + per_block], out[b0:b0 + per_block]
+        for t in range(K):
+            # Output column l reads input column l + t - pad.
+            lo, hi = max(0, pad - t), min(L, L + pad - t)
+            if lo < hi:
+                ob[:, :, lo:hi] += np.einsum("bcl,fc->bfl", xb[:, :, lo + t - pad:hi + t - pad],
+                                             kern[:, :, t])
+        ob += bias.data[None, :, None]
 
     def bk(g):
         # The padded input is rebuilt here, so no forward temporary outlives

@@ -288,6 +288,14 @@ _TASK_RUNNERS = {
     "baseline": (_eval_baseline, _BOTH, MODALITIES),
     "probe": (_eval_probe, _TEST, MODALITIES),
 }
+# The held-out (modality, tap) embeddings each cosine-ranked task normalizes
+# as they are, its retrieval targets; tap None is the eval config's layer.
+# Queries are standardized first, so a zero query row is still ranked.
+_COSINE_TARGETS = {
+    "retrieval": [(m, None) for m in MODALITIES],
+    "bridge": [("sound", None), ("text", None)],
+    "baseline": [("image", "bottleneck")],
+}
 
 
 def cmd_eval(args) -> int:
@@ -313,14 +321,18 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"eval config fields 'n_splits' x 'split_size' ({cfg.n_splits} x "
                           f"{cfg.split_size or held_out}) must be at most the {held_out} "
                           f"held-out pairs")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     # One forward per (split, modality) batch gives every tap for every task.
     needed = sorted({(split, m) for t in tasks for split in _TASK_RUNNERS[t][1]
                      for m in _TASK_RUNNERS[t][2]})
     emb = {(split, m): ev.embed_taps(params, [t[m] for t in dataset.triple_samples(split)])
            for split, m in needed}
+    # A dead row would stop a cosine ranking half-way through the reports.
+    for task in tasks:
+        for m, tap in _COSINE_TARGETS.get(task, ()):
+            tap = tap or cfg.layer
+            ev.require_nonzero_rows(emb["test", m][tap], tap, "test")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     summary: dict = {"config": doc, "tasks": tasks,
                      "full_scale_reference": ev.FULL_SCALE_REFERENCE}

@@ -13,6 +13,7 @@ drop out-of-vocabulary tokens, and are padded/cropped to 16 embedded columns.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -100,8 +101,8 @@ class TeacherTargets:
 
 def preprocess_spectrogram(raw: np.ndarray) -> np.ndarray:
     """Subtract the per-file scalar mean; stays float32 for storage economy."""
-    mean = float(np.asarray(raw, dtype=np.float64).mean())
-    return (raw.astype(np.float64) - mean).astype(np.float32)
+    wide = np.asarray(raw, dtype=np.float64)
+    return (wide - float(wide.mean())).astype(np.float32)
 
 
 def preprocess_image(raw: np.ndarray) -> np.ndarray:
@@ -295,31 +296,42 @@ def teacher_row(world: SyntheticWorld, concept: int) -> np.ndarray:
     return row
 
 
-def raw_triple(world: SyntheticWorld, index: int) -> tuple[int, np.ndarray, np.ndarray, list[str]]:
-    """(concept, raw image, raw spectrogram, sentence) for one triple index.
+def raw_triples(world: SyntheticWorld,
+                n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, list[str]]]:
+    """(concept, raw image, raw spectrogram, sentence) for triple indices 0..n-1.
 
-    Pure function of (world, index): used identically by the in-memory
-    generator and the dataset writer.
+    Each triple is a pure function of (world, index): the in-memory generator
+    and the dataset writer read the same values. A concept's prototypes are
+    built once per call, on its first triple, and dropped after its last:
+    a world with as many concepts as triples holds none past its triple.
     """
-    concept = index % world.concepts
-    img_rng = _rng(world, _IMG, index)
-    raw_img = _image_prototype(world, concept) + \
-        world.image_noise * img_rng.standard_normal((3, 32, 32))
-    snd_rng = _rng(world, _SND, index)
-    raw_snd = (_sound_prototype(world, concept) +
-               world.sound_noise * snd_rng.standard_normal(
-                   (formats.SPECTROGRAM_CHANNELS, formats.SPECTROGRAM_FRAMES))
-               ).astype(np.float32)
-    txt_rng = _rng(world, _TXT, index)
-    sentence = list(_canonical_sentence(world, concept))
-    vocab = _concept_vocab(world, concept)
-    for pos in range(len(sentence)):
-        if txt_rng.random() < world.text_noise:
-            if txt_rng.random() < 0.25:
-                sentence[pos] = FUNCTION_WORDS[int(txt_rng.integers(len(FUNCTION_WORDS)))]
-            else:
-                sentence[pos] = vocab[int(txt_rng.integers(len(vocab)))]
-    return concept, raw_img, raw_snd, sentence
+    prototypes: dict[int, tuple[np.ndarray, np.ndarray, list[str]]] = {}
+    for index in range(n):
+        concept = index % world.concepts
+        if concept not in prototypes:
+            prototypes[concept] = (_image_prototype(world, concept),
+                                   _sound_prototype(world, concept),
+                                   _canonical_sentence(world, concept))
+        proto_img, proto_snd, canonical = prototypes[concept]
+        if index + world.concepts >= n:  # the concept's last triple
+            del prototypes[concept]
+        img_rng = _rng(world, _IMG, index)
+        raw_img = proto_img + world.image_noise * img_rng.standard_normal((3, 32, 32))
+        snd_rng = _rng(world, _SND, index)
+        raw_snd = (proto_snd +
+                   world.sound_noise * snd_rng.standard_normal(
+                       (formats.SPECTROGRAM_CHANNELS, formats.SPECTROGRAM_FRAMES))
+                   ).astype(np.float32)
+        txt_rng = _rng(world, _TXT, index)
+        sentence = list(canonical)
+        vocab = _concept_vocab(world, concept)
+        for pos in range(len(sentence)):
+            if txt_rng.random() < world.text_noise:
+                if txt_rng.random() < 0.25:
+                    sentence[pos] = FUNCTION_WORDS[int(txt_rng.integers(len(FUNCTION_WORDS)))]
+                else:
+                    sentence[pos] = vocab[int(txt_rng.integers(len(vocab)))]
+        yield concept, raw_img, raw_snd, sentence
 
 
 @dataclass
@@ -358,8 +370,7 @@ def generate_synthetic(world: SyntheticWorld, n: int) -> SyntheticTriples:
     triples: list[Triple] = []
     labels: dict[str, int] = {}
     teacher_rows: dict[str, np.ndarray] = {}
-    for i in range(n):
-        concept, raw_img, raw_snd, sentence = raw_triple(world, i)
+    for i, (concept, raw_img, raw_snd, sentence) in enumerate(raw_triples(world, n)):
         ids = triple_ids(i)
         image = Sample("image", preprocess_image(raw_img), ids["image"])
         sound = Sample("sound", preprocess_spectrogram(raw_snd), ids["sound"])
@@ -462,8 +473,7 @@ def write_dataset(world: SyntheticWorld, n: int, out_dir,
     rows = []
     labels: dict[str, int] = {}
     teacher_rows: dict[str, np.ndarray] = {}
-    for i in range(n):
-        concept, raw_img, raw_snd, sentence = raw_triple(world, i)
+    for i, (concept, raw_img, raw_snd, sentence) in enumerate(raw_triples(world, n)):
         ids = triple_ids(i)
         split = split_of[ids["pair"]]
         img_path = samples_dir / f"{ids['image']}.tnsr"

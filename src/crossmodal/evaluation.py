@@ -105,7 +105,7 @@ def embed_taps(params: ModelParams, samples: list[Sample]) -> dict[str, dict[str
     for modality, group in by_modality.items():
         for lo in range(0, len(group), EMBED_BATCH):
             chunk = group[lo:lo + EMBED_BATCH]
-            arr = np.stack([s.payload for s in chunk]).astype(np.float64)
+            arr = np.stack([s.payload for s in chunk], dtype=np.float64)
             for tap, acts in forward_batch(frozen, arr, modality).items():
                 taps[tap].update(zip((s.id for s in chunk), acts.data))
     return taps
@@ -124,6 +124,15 @@ def standardize_features(matrix: np.ndarray) -> np.ndarray:
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
     return (matrix - mean) / (std + 1e-12)
+
+
+def require_nonzero_rows(vectors: dict[str, np.ndarray], tap: str, split: str) -> None:
+    """Raise naming the first sample whose vector has zero norm: a cosine
+    ranking cannot score it (a dead row, every unit of the tap silent)."""
+    for sid, vec in vectors.items():
+        if (vec * vec).sum() == 0:
+            raise DegenerateInputError(
+                f"zero-norm embedding row for sample {sid!r} at tap {tap!r}, split {split!r}")
 
 
 def _cosine_matrix(queries: np.ndarray, targets: np.ndarray, where: str) -> np.ndarray:

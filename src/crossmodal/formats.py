@@ -37,7 +37,7 @@ def save_tensor(path, array: np.ndarray) -> None:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<I", arr.ndim))
         fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr.data)  # the C-ordered buffer itself, no bytes copy
 
 
 def load_tensor(path) -> np.ndarray:
@@ -63,7 +63,7 @@ def save_spectrogram(path, array: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(SPECTROGRAM_MAGIC)
         fh.write(struct.pack("<II", *arr.shape))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr.data)  # the C-ordered buffer itself, no bytes copy
 
 
 def load_spectrogram_raw(path) -> np.ndarray:

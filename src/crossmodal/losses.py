@@ -144,8 +144,8 @@ def combined_loss(batch, params: ModelParams,
         raise ContractError(f"unsupported pair type {batch.pair_type!r}")
     other_modality = batch.pair_type.split("+")[1]
 
-    image_arr = np.stack([s.payload for s in batch.anchors]).astype(np.float64)
-    other_arr = np.stack([s.payload for s in batch.positives]).astype(np.float64)
+    image_arr = np.stack([s.payload for s in batch.anchors], dtype=np.float64)
+    other_arr = np.stack([s.payload for s in batch.positives], dtype=np.float64)
     B = image_arr.shape[0]
 
     teacher_rows = batch.teacher_rows

@@ -134,6 +134,67 @@ def test_conv1d_matches_nested_loop_bitwise(seed, shape):
     assert np.array_equal(out, conv1d_oracle(x, k, b))
 
 
+@pytest.mark.parametrize("budget", [1, 48, 10**9],
+                         ids=["sample_per_block", "ragged_last_block", "whole_batch"])
+def test_conv1d_blocks_match_nested_loop_bitwise(monkeypatch, budget):
+    # 24 output values per sample: blocks of 1, of 2, 2 and 1, and of all 5.
+    monkeypatch.setattr(ad, "CONV1D_BLOCK_VALUES", budget)
+    rng = np.random.default_rng(7)
+    x, k, b = rng.normal(size=(5, 4, 8)), rng.normal(size=(3, 4, 5)), rng.normal(size=3)
+    out = ad.conv1d_same(Tensor(x), Tensor(k), Tensor(b)).data
+    assert np.array_equal(out, conv1d_oracle(x, k, b))
+
+
+@pytest.mark.parametrize("budget", [1, 10**9], ids=["sample_per_block", "whole_batch"])
+@pytest.mark.parametrize("x_kind", ["normal", "zeros"])
+def test_conv1d_kernel_longer_than_input_matches_nested_loop_bitwise(monkeypatch, budget,
+                                                                      x_kind):
+    # K=9 over L=3: every tap but the center covers part of the output or
+    # none of it. On a zero input every product of a negative kernel is -0.0
+    # and every bias is -0.0, yet each sum starts at +0.0 and stays there.
+    monkeypatch.setattr(ad, "CONV1D_BLOCK_VALUES", budget)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 4, 3)) if x_kind == "normal" else np.zeros((3, 4, 3))
+    k = -np.abs(rng.normal(size=(2, 4, 9)))
+    b = np.array([-0.0, -0.0])
+    out = ad.conv1d_same(Tensor(x), Tensor(k), Tensor(b)).data
+    want = conv1d_oracle(x, k, b)
+    assert np.array_equal(out, want)
+    assert np.array_equal(np.signbit(out), np.signbit(want))
+    assert not np.signbit(out[out == 0]).any()
+
+
+@pytest.mark.parametrize("budget", [ad.CONV1D_BLOCK_VALUES, 10**9],
+                         ids=["default_budget", "whole_batch"])
+def test_conv1d_batch_equals_its_samples_bitwise(monkeypatch, budget):
+    # The desk sound input layer: a sample's output bits do not depend on
+    # the batch it is embedded in.
+    monkeypatch.setattr(ad, "CONV1D_BLOCK_VALUES", budget)
+    rng = np.random.default_rng(5)
+    x, k, b = rng.normal(size=(5, 257, 500)), rng.normal(size=(8, 257, 11)), rng.normal(size=8)
+    batch = ad.conv1d_same(Tensor(x), Tensor(k), Tensor(b)).data
+    alone = np.concatenate([ad.conv1d_same(Tensor(x[i:i + 1]), Tensor(k), Tensor(b)).data
+                            for i in range(5)])
+    assert batch.tobytes() == alone.tobytes()
+
+
+def test_conv1d_forward_makes_no_padded_copy():
+    # At C >> F the input dwarfs the output; a padded copy of the input
+    # alone would exceed the bound.
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(4, 64, 200)))
+    k, b = Tensor(rng.normal(size=(4, 64, 5))), Tensor(rng.normal(size=4))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.conv1d_same(x, k, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < x.data.nbytes // 2
+
+
 def test_conv2d_identity_kernel():
     x = np.random.default_rng(0).normal(size=(1, 2, 5, 5))
     kern = np.zeros((2, 2, 1, 1))

@@ -7,6 +7,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crossmodal import cli
@@ -14,7 +15,7 @@ from crossmodal import evaluation as ev
 from crossmodal import networks as nets
 from crossmodal import training
 from crossmodal.cli import main
-from crossmodal.data import SyntheticWorld
+from crossmodal.data import SyntheticWorld, load_dataset
 from crossmodal.losses import LossConfig
 from crossmodal.training import TrainConfig
 
@@ -395,6 +396,29 @@ def test_counts_above_the_data_exit_2_before_writing(pipeline, tmp_path, capsys,
     assert not (tmp_path / "out").exists()  # rejected before anything is written
     err = capsys.readouterr().err
     assert all(f"{field!r}" in err for field in fields)
+
+
+def test_dead_embedding_row_exits_3_naming_it_before_writing(pipeline, tmp_path,
+                                                             monkeypatch, capsys):
+    root, data_dir, run_dir = pipeline
+    dead = load_dataset(data_dir / "manifest.csv").triple_samples("test")[2]["sound"].id
+    embed_taps = ev.embed_taps
+
+    def with_dead_row(params, samples):
+        taps = embed_taps(params, samples)
+        if dead in taps["shared2"]:
+            taps["shared2"][dead] = np.zeros_like(taps["shared2"][dead])
+        return taps
+
+    monkeypatch.setattr(ev, "embed_taps", with_dead_row)
+    code = main(["eval", "--config", _write(tmp_path / "cfg.json", EVAL),
+                 "--data", str(data_dir / "manifest.csv"),
+                 "--checkpoint", str(run_dir / "checkpoint" / "final"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert not (tmp_path / "out").exists()  # rejected before anything is written
+    err = capsys.readouterr().err
+    assert f"{dead!r}" in err and "'shared2'" in err and "'test'" in err
 
 
 @pytest.mark.parametrize("seed", [0, 11])

@@ -1,5 +1,7 @@
 """Pre-processing contracts, splits, the synthetic generator, and batching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -306,3 +308,17 @@ def test_loaded_handles_feed_training_pools(tmp_path):
     assert handles.teacher is not None
     batch = dat.schedule_batch(handles, 2, seed=0, iteration=1)
     assert batch.pair_type == "image+text"
+
+
+def test_raw_triples_drop_each_prototype_after_its_concepts_last_triple():
+    # One triple per concept: holding every 257x500 sound prototype (1 MB
+    # each) until the end would peak near 40 MB.
+    world = dat.SyntheticWorld(concepts=40, seed=0)
+    tracemalloc.start()
+    try:
+        for _ in dat.raw_triples(world, 40):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
