@@ -11,8 +11,10 @@ their defaults and ranges (SyntheticWorld, TrainConfig with its LossConfig,
 EvalConfig), plus a few CLI-only fields. Every command writes a run manifest listing its artifacts,
 and rerunning a command reproduces those artifacts bitwise (the manifest's
 timestamp and environment aside): the package pins numpy's bundled OpenBLAS
-to one thread, and under another BLAS the thread count must be fixed. Exit
-codes: 0 ok, 2 config error, 3 data error, 4 numeric abort.
+to one thread, and under another BLAS the thread count must be fixed. Eval
+runs every requested task before it writes any report, so a failing task
+leaves no output directory. Exit codes: 0 ok, 2 config error, 3 data error,
+4 numeric abort.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -207,94 +210,81 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_retrieval(emb, dataset, cfg, out, summary) -> list[str]:
+# The (query, target) modality pairs each cosine-ranking task ranks at the
+# eval tap. Training never pairs sound with text: the bridge is pure transfer.
+_RANKED_PAIRS = {
+    "retrieval": (("image", "sound"), ("sound", "image"), ("image", "text"), ("text", "image")),
+    "bridge": (("sound", "text"), ("text", "sound")),
+}
+
+
+def _eval_ranks(task, emb, dataset, cfg, summary) -> dict:
     trips = dataset.triple_samples("test")
     results = []
-    for src, dst in (("image", "sound"), ("sound", "image"),
-                     ("image", "text"), ("text", "image")):
-        pairs = [(t[src].id, t[dst].id) for t in trips]
+    for src, dst in _RANKED_PAIRS[task]:
+        targets = emb("test", dst)[cfg.layer]
+        # The cosine would stop at a dead target row without naming it; queries
+        # are standardized first, so a zero query row still ranks.
+        ev.require_nonzero_rows(targets, cfg.layer, "test")
         res = ev.median_rank_retrieval(
-            emb["test", src][cfg.layer], emb["test", dst][cfg.layer], pairs,
+            emb("test", src)[cfg.layer], targets, [(t[src].id, t[dst].id) for t in trips],
             cfg.n_splits, cfg.split_size or len(trips), cfg.seed, direction=f"{src}->{dst}")
         results.append(res)
-        summary.setdefault("retrieval", {})[res.direction] = res.average_median_rank
-    ev.write_ranks_csv(out / "retrieval_ranks.csv", results)
-    return ["retrieval_ranks.csv"]
+        summary.setdefault(task, {})[res.direction] = res.average_median_rank
+    return {f"{task}_ranks.csv": partial(ev.write_ranks_csv, results=results)}
 
 
-def _eval_bridge(emb, dataset, cfg, out, summary) -> list[str]:
-    trips = dataset.triple_samples("test")
-    pairs = [(t["sound"].id, t["text"].id) for t in trips]
-    res = ev.bridge_transfer_eval(
-        emb["test", "sound"][cfg.layer], emb["test", "text"][cfg.layer], pairs,
-        cfg.n_splits, cfg.split_size or len(trips), cfg.seed)
-    for direction, r in res.items():
-        summary.setdefault("bridge", {})[direction] = r.average_median_rank
-    ev.write_ranks_csv(out / "bridge_ranks.csv", list(res.values()))
-    return ["bridge_ranks.csv"]
-
-
-def _eval_zero_shot(emb, dataset, cfg, out, summary) -> list[str]:
+def _eval_zero_shot(emb, dataset, cfg, summary) -> dict:
     if dataset.labels is None:
         raise ConfigError("task zero-shot needs labels.csv next to the manifest")
-    tests = {m: emb["test", m][cfg.layer] for m in MODALITIES}
+    tests = {m: emb("test", m)[cfg.layer] for m in MODALITIES}
     results = []
     for train_mod in MODALITIES:
         results.extend(ev.zero_shot_transfer(
-            train_mod, emb["train", train_mod][cfg.layer], tests, dataset.labels,
+            train_mod, emb("train", train_mod)[cfg.layer], tests, dataset.labels,
             max(dataset.labels.values()) + 1, c_grid=cfg.svm_c_grid, seed=cfg.seed,
             iterations=cfg.svm_iterations))
     for res in results:
         summary.setdefault("zero_shot", {})[f"{res.train_modality}->{res.test_modality}"] = \
             res.accuracy
-    ev.write_accuracies_csv(out / "accuracies.csv", results)
-    return ["accuracies.csv"]
+    return {"accuracies.csv": partial(ev.write_accuracies_csv, results=results)}
 
 
-def _eval_baseline(emb, dataset, cfg, out, summary) -> list[str]:
+def _eval_baseline(emb, dataset, cfg, summary) -> dict:
     layer = "bottleneck"  # modality-specific features, mapped into vision space
     train_trips = dataset.triple_samples("train")
     test_trips = dataset.triple_samples("test")
+    ev.require_nonzero_rows(emb("test", "image")[layer], layer, "test")
     results = []
     for src in ("sound", "text"):
         train_pairs = [(t[src].id, t["image"].id) for t in train_trips]
         test_pairs = [(t[src].id, t["image"].id) for t in test_trips]
         res = ev.baseline_retrieval(
-            emb["train", src][layer], emb["train", "image"][layer], train_pairs,
-            emb["test", src][layer], emb["test", "image"][layer], test_pairs,
+            emb("train", src)[layer], emb("train", "image")[layer], train_pairs,
+            emb("test", src)[layer], emb("test", "image")[layer], test_pairs,
             cfg.n_splits, cfg.split_size or len(test_trips), cfg.seed, cfg.ridge_lambda,
             direction=f"{src}->image (ridge)")
         results.append(res)
         summary.setdefault("baseline", {})[res.direction] = res.average_median_rank
-    ev.write_ranks_csv(out / "baseline_ranks.csv", results)
-    return ["baseline_ranks.csv"]
+    return {"baseline_ranks.csv": partial(ev.write_ranks_csv, results=results)}
 
 
-def _eval_probe(emb, dataset, cfg, out, summary) -> list[str]:
+def _eval_probe(emb, dataset, cfg, summary) -> dict:
     units = range(cfg.probe_units) if cfg.probe_units else None
-    listings = ev.probe_units({m: emb["test", m][cfg.layer] for m in MODALITIES},
+    listings = ev.probe_units({m: emb("test", m)[cfg.layer] for m in MODALITIES},
                               k=cfg.probe_k, units=units)
-    ev.write_probe_csv(out / "probe.csv", listings)
     summary["probe"] = {"units": len(listings), "k": cfg.probe_k}
-    return ["probe.csv"]
+    return {"probe.csv": partial(ev.write_probe_csv, listings=listings)}
 
 
-# Each task's runner and the (splits, modalities) of the embeddings it reads.
-_TEST, _BOTH = ("test",), ("train", "test")
+# Each task's runner: it reads embeddings through ``emb(split, modality)``,
+# fills its summary entries and returns {report file name: writer(path)}.
 _TASK_RUNNERS = {
-    "retrieval": (_eval_retrieval, _TEST, MODALITIES),
-    "bridge": (_eval_bridge, _TEST, ("sound", "text")),
-    "zero-shot": (_eval_zero_shot, _BOTH, MODALITIES),
-    "baseline": (_eval_baseline, _BOTH, MODALITIES),
-    "probe": (_eval_probe, _TEST, MODALITIES),
-}
-# The held-out (modality, tap) embeddings each cosine-ranked task normalizes
-# as they are, its retrieval targets; tap None is the eval config's layer.
-# Queries are standardized first, so a zero query row is still ranked.
-_COSINE_TARGETS = {
-    "retrieval": [(m, None) for m in MODALITIES],
-    "bridge": [("sound", None), ("text", None)],
-    "baseline": [("image", "bottleneck")],
+    "retrieval": partial(_eval_ranks, "retrieval"),
+    "bridge": partial(_eval_ranks, "bridge"),
+    "zero-shot": _eval_zero_shot,
+    "baseline": _eval_baseline,
+    "probe": _eval_probe,
 }
 
 
@@ -321,27 +311,24 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"eval config fields 'n_splits' x 'split_size' ({cfg.n_splits} x "
                           f"{cfg.split_size or held_out}) must be at most the {held_out} "
                           f"held-out pairs")
-    # One forward per (split, modality) batch gives every tap for every task.
-    needed = sorted({(split, m) for t in tasks for split in _TASK_RUNNERS[t][1]
-                     for m in _TASK_RUNNERS[t][2]})
-    emb = {(split, m): ev.embed_taps(params, [t[m] for t in dataset.triple_samples(split)])
-           for split, m in needed}
-    # A dead row would stop a cosine ranking half-way through the reports.
-    for task in tasks:
-        for m, tap in _COSINE_TARGETS.get(task, ()):
-            tap = tap or cfg.layer
-            ev.require_nonzero_rows(emb["test", m][tap], tap, "test")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+
+    # One forward per batch of a (split, modality), on first use, gives every tap.
+    @cache
+    def emb(split, modality):
+        return ev.embed_taps(params, [t[modality] for t in dataset.triple_samples(split)])
 
     summary: dict = {"config": doc, "tasks": tasks,
                      "full_scale_reference": ev.FULL_SCALE_REFERENCE}
-    artifacts: list[str] = []
+    reports = {}
     for task in tasks:
-        artifacts.extend(_TASK_RUNNERS[task][0](emb, dataset, cfg, out, summary))
-    ev.write_summary_json(out / "summary.json", summary)
-    artifacts.append("summary.json")
-    _write_run_manifest(out, "eval", args, cfg.seed, artifacts)
+        reports.update(_TASK_RUNNERS[task](emb, dataset, cfg, summary))
+    reports["summary.json"] = partial(ev.write_summary_json, summary=summary)
+    # Every task has run, so a failing one has left no output directory.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in reports.items():
+        write(out / name)
+    _write_run_manifest(out, "eval", args, cfg.seed, list(reports))
     for task in tasks:
         key = task.replace("-", "_")
         if key in summary and isinstance(summary[key], dict):

@@ -165,8 +165,7 @@ class RetrievalResult:
 
 def median_rank_retrieval(queries: dict[str, np.ndarray], targets: dict[str, np.ndarray],
                           pairs: list[tuple[str, str]], n_splits: int, split_size: int,
-                          seed: int, direction: str = "",
-                          standardize_queries: bool = True) -> RetrievalResult:
+                          seed: int, direction: str = "") -> RetrievalResult:
     """Average median rank over n_splits disjoint splits of split_size pairs.
 
     For each query the candidates are that split's target vectors; the rank of
@@ -190,10 +189,8 @@ def median_rank_retrieval(queries: dict[str, np.ndarray], targets: dict[str, np.
     all_ranks: list[np.ndarray] = []
     for s in range(n_splits):
         chunk = [pairs[i] for i in order[s * split_size:(s + 1) * split_size]]
-        q = np.stack([queries[qid] for qid, _ in chunk])
+        q = standardize_features(np.stack([queries[qid] for qid, _ in chunk]))
         t = np.stack([targets[tid] for _, tid in chunk])
-        if standardize_queries:
-            q = standardize_features(q)
         sims = _cosine_matrix(q, t, f"{direction or '(unnamed)'}, split {s}")
         ranks = _ranks_with_id_ties(sims, [tid for _, tid in chunk])
         medians.append(float(np.median(ranks)))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,25 @@ def test_eval_embeds_each_batch_once_and_fits_once_per_training_modality(
         assert got[name] == want, name
 
 
+def test_eval_subset_embeds_only_the_batches_it_reads(pipeline, tmp_path, monkeypatch):
+    root, data_dir, run_dir = pipeline
+    forwards = []
+    forward = ev.forward_batch
+
+    def counted_forward(params, batch, modality):
+        forwards.append((modality, len(batch)))
+        return forward(params, batch, modality)
+
+    monkeypatch.setattr(ev, "forward_batch", counted_forward)
+    assert main(["eval", "--config", _write(tmp_path / "cfg.json", EVAL),
+                 "--data", str(data_dir / "manifest.csv"),
+                 "--checkpoint", str(run_dir / "checkpoint" / "final"),
+                 "--out", str(tmp_path / "out"), "--tasks", "bridge"]) == 0
+    # The 6 held-out samples of a modality fill one batch; the 24 training
+    # samples and the images are never embedded.
+    assert sorted(forwards) == [("sound", WORLD["test_size"]), ("text", WORLD["test_size"])]
+
+
 def test_unknown_tap_exits_2(pipeline, tmp_path):
     root, data_dir, run_dir = pipeline
     eval_cfg = _write(root / "eval5.json", {**EVAL, "layer": "conv1"})
@@ -258,7 +278,6 @@ def test_config_without_seed_exits_2(tmp_path):
 def test_corrupt_data_exits_3(pipeline, tmp_path):
     root, data_dir, _ = pipeline
     # copy the dataset and corrupt one spectrogram's magic
-    import shutil
     broken = tmp_path / "broken"
     shutil.copytree(data_dir, broken)
     spec_file = next((broken / "samples").glob("*.spec"))
@@ -419,6 +438,21 @@ def test_dead_embedding_row_exits_3_naming_it_before_writing(pipeline, tmp_path,
     assert not (tmp_path / "out").exists()  # rejected before anything is written
     err = capsys.readouterr().err
     assert f"{dead!r}" in err and "'shared2'" in err and "'test'" in err
+
+
+def test_failing_task_writes_nothing(pipeline, tmp_path, capsys):
+    # Zero-shot runs after retrieval and bridge, whose reports must not stay behind.
+    _, data_dir, run_dir = pipeline
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / "labels.csv").unlink()
+    code = main(["eval", "--config", _write(tmp_path / "cfg.json", EVAL),
+                 "--data", str(data / "manifest.csv"),
+                 "--checkpoint", str(run_dir / "checkpoint" / "final"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "labels.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("seed", [0, 11])
