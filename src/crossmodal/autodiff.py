@@ -33,9 +33,9 @@ _uid_counter = itertools.count()
 
 COSINE_NORM_EPS = 1e-8
 COSINE_MIN_NORM = 1e-12
-# Most output values one conv1d_same forward block accumulates at once: 32 KB
-# of float64, one sample of the desk sound input layer (8 x 500).
-CONV1D_BLOCK_VALUES = 4096
+# Columns of the channel-major row one conv1d_same forward block sums over:
+# 14 desk text samples (16 + 2 padding columns each) share one row.
+CONV1D_ROW = 256
 
 
 class Tensor:
@@ -296,15 +296,17 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Same-length 1-D cross-correlation, stride 1, zero padding (K-1)/2.
 
     x: (B, C, L), kernels: (F, C, K) with K odd, bias: (F,) -> (B, F, L).
-    Forward walks the batch in blocks of samples whose output holds at most
-    CONV1D_BLOCK_VALUES values, so the accumulator stays in cache while every
-    channel of every tap sweeps it. Within a block it accumulates one kernel
-    tap at a time (einsum over channels), which keeps the summation order
-    identical to a nested-loop evaluation. It reads the unpadded input: tap t
-    adds only into the output columns whose input it covers, and a tap that
-    covers none is skipped. A padded column would add an exact zero to a sum
-    that starts at +0.0 and so is never -0.0, which changes no bit; the
-    result is bitwise that of the padded, unblocked loop.
+    Forward walks the batch in blocks of max(1, CONV1D_ROW // (L + K - 1))
+    samples, which sit side by side in one channel-major (C, width) row
+    with K - 1 zero columns between neighbours; a sample whose padded length
+    is more than half a row is its own block, read in place. Each kernel
+    tap adds one einsum over channels into the block's (F, width)
+    accumulator, taps outer, which keeps the summation order identical to a
+    nested-loop evaluation. Tap t adds only into the columns whose input
+    lies inside the row, and a tap that covers none is skipped. Any other
+    column a tap reads outside its sample is a zero column: it adds an
+    exact zero to a sum that starts at +0.0 and so is never -0.0, which
+    changes no bit; the result is bitwise that of the padded loop.
     Backward runs one GEMM per tap on a shifted view of the flat,
     channels-last padded input (see ``_conv_same_backward``); it is not
     bitwise equal to the per-tap einsum, only to within rounding.
@@ -326,16 +328,28 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     pad = (K - 1) // 2
     kern = kernels.data
     out = np.zeros((B, F, L))
-    per_block = max(1, CONV1D_BLOCK_VALUES // (F * L))
+    S = L + 2 * pad
+    per_block = min(B, max(1, CONV1D_ROW // S))
+    if per_block > 1:
+        # Sample i fills row columns [i*S, i*S + L); its output lands there too.
+        rows = np.zeros((C, per_block, S))
     for b0 in range(0, B, per_block):
-        xb, ob = x.data[b0:b0 + per_block], out[b0:b0 + per_block]
+        n = min(per_block, B - b0)
+        if n == 1:
+            row, acc = x.data[b0], out[b0]
+        else:
+            rows[:, :n, :L] = x.data[b0:b0 + n].transpose(1, 0, 2)
+            row, acc = rows[:, :n].reshape(C, n * S)[:, :n * S - 2 * pad], np.zeros((F, n * S))
+        W = row.shape[1]
         for t in range(K):
             # Output column l reads input column l + t - pad.
-            lo, hi = max(0, pad - t), min(L, L + pad - t)
+            lo, hi = max(0, pad - t), min(W, W + pad - t)
             if lo < hi:
-                ob[:, :, lo:hi] += np.einsum("bcl,fc->bfl", xb[:, :, lo + t - pad:hi + t - pad],
-                                             kern[:, :, t])
-        ob += bias.data[None, :, None]
+                acc[:, lo:hi] += np.einsum("cn,fc->fn", row[:, lo + t - pad:hi + t - pad],
+                                           kern[:, :, t])
+        if n > 1:
+            out[b0:b0 + n] = acc.reshape(F, n, S)[:, :, :L].transpose(1, 0, 2)
+    out += bias.data[None, :, None]
 
     def bk(g):
         # The padded input is rebuilt here, so no forward temporary outlives

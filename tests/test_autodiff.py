@@ -137,8 +137,8 @@ def test_conv1d_matches_nested_loop_bitwise(seed, shape):
 @pytest.mark.parametrize("budget", [1, 48, 10**9],
                          ids=["sample_per_block", "ragged_last_block", "whole_batch"])
 def test_conv1d_blocks_match_nested_loop_bitwise(monkeypatch, budget):
-    # 24 output values per sample: blocks of 1, of 2, 2 and 1, and of all 5.
-    monkeypatch.setattr(ad, "CONV1D_BLOCK_VALUES", budget)
+    # 12 row columns per sample: blocks of 1, of 4 and 1, and of all 5.
+    monkeypatch.setattr(ad, "CONV1D_ROW", budget)
     rng = np.random.default_rng(7)
     x, k, b = rng.normal(size=(5, 4, 8)), rng.normal(size=(3, 4, 5)), rng.normal(size=3)
     out = ad.conv1d_same(Tensor(x), Tensor(k), Tensor(b)).data
@@ -152,7 +152,7 @@ def test_conv1d_kernel_longer_than_input_matches_nested_loop_bitwise(monkeypatch
     # K=9 over L=3: every tap but the center covers part of the output or
     # none of it. On a zero input every product of a negative kernel is -0.0
     # and every bias is -0.0, yet each sum starts at +0.0 and stays there.
-    monkeypatch.setattr(ad, "CONV1D_BLOCK_VALUES", budget)
+    monkeypatch.setattr(ad, "CONV1D_ROW", budget)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4, 3)) if x_kind == "normal" else np.zeros((3, 4, 3))
     k = -np.abs(rng.normal(size=(2, 4, 9)))
@@ -164,23 +164,51 @@ def test_conv1d_kernel_longer_than_input_matches_nested_loop_bitwise(monkeypatch
     assert not np.signbit(out[out == 0]).any()
 
 
-@pytest.mark.parametrize("budget", [ad.CONV1D_BLOCK_VALUES, 10**9],
+@pytest.mark.parametrize("budget", [ad.CONV1D_ROW, 10**9],
                          ids=["default_budget", "whole_batch"])
 def test_conv1d_batch_equals_its_samples_bitwise(monkeypatch, budget):
-    # The desk sound input layer: a sample's output bits do not depend on
-    # the batch it is embedded in.
-    monkeypatch.setattr(ad, "CONV1D_BLOCK_VALUES", budget)
+    # A sample's output bits do not depend on the batch it is embedded in:
+    # the desk sound input layer (one sample per block) and the desk text
+    # input layer (blocks of 14, 14 and 2 at the default row).
+    monkeypatch.setattr(ad, "CONV1D_ROW", budget)
     rng = np.random.default_rng(5)
-    x, k, b = rng.normal(size=(5, 257, 500)), rng.normal(size=(8, 257, 11)), rng.normal(size=8)
-    batch = ad.conv1d_same(Tensor(x), Tensor(k), Tensor(b)).data
-    alone = np.concatenate([ad.conv1d_same(Tensor(x[i:i + 1]), Tensor(k), Tensor(b)).data
-                            for i in range(5)])
-    assert batch.tobytes() == alone.tobytes()
+    for (B, C, L), (F, K) in [((5, 257, 500), (8, 11)), ((30, 300, 16), (16, 3))]:
+        x, k, b = rng.normal(size=(B, C, L)), rng.normal(size=(F, C, K)), rng.normal(size=F)
+        batch = ad.conv1d_same(Tensor(x), Tensor(k), Tensor(b)).data
+        alone = np.concatenate([ad.conv1d_same(Tensor(x[i:i + 1]), Tensor(k), Tensor(b)).data
+                                for i in range(B)])
+        assert batch.tobytes() == alone.tobytes()
+
+
+def test_conv1d_forward_copies_one_row_at_a_time(monkeypatch):
+    # The desk text input layer: short signals are copied into one row per
+    # block, so the forward holds the output, one block's (C, CONV1D_ROW)
+    # row, and accumulators and einsum buffers of a few (F, CONV1D_ROW)
+    # each, never a copy of the batch.
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(30, 300, 16)))
+    k, b = Tensor(rng.normal(size=(16, 300, 3))), Tensor(rng.normal(size=16))
+    bound = 8 * (30 * 16 * 16 + (300 + 8 * 16) * ad.CONV1D_ROW)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.conv1d_same(x, k, b)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    monkeypatch.setattr(ad, "CONV1D_ROW", 10**9)  # one row for the whole batch
+    assert peak() > bound
 
 
 def test_conv1d_forward_makes_no_padded_copy():
-    # At C >> F the input dwarfs the output; a padded copy of the input
-    # alone would exceed the bound.
+    # A signal long enough to fill a row is read in place. At C >> F the
+    # input dwarfs the output; a padded copy of the input alone would
+    # exceed the bound.
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(4, 64, 200)))
     k, b = Tensor(rng.normal(size=(4, 64, 5))), Tensor(rng.normal(size=4))
