@@ -299,7 +299,8 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     Forward walks the batch in blocks of max(1, CONV1D_ROW // (L + K - 1))
     samples, which sit side by side in one channel-major (C, width) row
     with K - 1 zero columns between neighbours; a sample whose padded length
-    is more than half a row is its own block, read in place. Each kernel
+    is more than half a row is its own block, read in place (a lone sample
+    of length 1 is copied beside a zero column instead). Each kernel
     tap adds one einsum over channels into the block's (F, width)
     accumulator, taps outer, which keeps the summation order identical to a
     nested-loop evaluation. Tap t adds only into the columns whose input
@@ -335,8 +336,13 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         rows = np.zeros((C, per_block, S))
     for b0 in range(0, B, per_block):
         n = min(per_block, B - b0)
-        if n == 1:
+        if n == 1 and L > 1:
             row, acc = x.data[b0], out[b0]
+        elif n == 1:
+            # A one-column row would let einsum reduce the contiguous channel
+            # column in its unrolled loop, out of channel order; a zero
+            # column beside it keeps the reduction sequential.
+            row, acc = np.hstack([x.data[b0], np.zeros((C, 1))]), np.zeros((F, 2))
         else:
             rows[:, :n, :L] = x.data[b0:b0 + n].transpose(1, 0, 2)
             row, acc = rows[:, :n].reshape(C, n * S)[:, :n * S - 2 * pad], np.zeros((F, n * S))
@@ -349,6 +355,8 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                                            kern[:, :, t])
         if n > 1:
             out[b0:b0 + n] = acc.reshape(F, n, S)[:, :, :L].transpose(1, 0, 2)
+        elif L == 1:
+            out[b0] = acc[:, :1]
     out += bias.data[None, :, None]
 
     def bk(g):

@@ -6,6 +6,12 @@ keeps every tap, so an eval embeds each (split, modality) once and every
 task reads vectors from that table. Zero-shot transfer fits its classifiers
 once per training modality and scores every test modality with them.
 
+A desk eval fits on fewer samples than features, so both fits run in
+sample space, on n x n matrices: the one-vs-all SVMs on the Gram matrix,
+every C of the grid in one loop, and the ridge baseline through its dual.
+Their weights equal the feature-space forms to within rounding, not bit for
+bit.
+
 Retrieval reports the average median rank over seeded splits: queries are
 standardized per dimension (statistics from the query split only), candidates
 ranked by cosine similarity, ties broken by sample id so every number is
@@ -216,19 +222,28 @@ def bridge_transfer_eval(sound: dict[str, np.ndarray], text: dict[str, np.ndarra
 
 
 def _hinge_ova_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
-                   c_value: float, iterations: int) -> np.ndarray:
-    """One-vs-all linear hinge + L2, deterministic full-batch subgradient
-    descent (Pegasos-style 1/(lambda t) step sizes). Returns (K, D) weights."""
-    n = features.shape[0]
-    lam = 1.0 / (c_value * n)
-    targets = np.where(labels[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
-    weights = np.zeros((n_classes, features.shape[1]))
+                   c_grid, iterations: int) -> np.ndarray:
+    """One-vs-all linear hinge + L2 for every C of c_grid at once,
+    deterministic full-batch subgradient descent (Pegasos 1/(lambda t) step
+    sizes, lambda = 1/(C n)). Returns (G, K, D) weights, one (K, D) block per C.
+
+    The fit runs in sample space, Pegasos's kernel form (Shalev-Shwartz et
+    al., ICML 2007): the weights stay in the span of the samples, w = alpha @
+    features. After step t, alpha is C/t times the running sum of the
+    targets y at the steps where y times the margin (alpha @ gram) was below
+    1, so each step costs (G, K, n) x (n, n) whatever the feature width D. The weights
+    equal the feature-space iteration to within rounding, not bit for bit.
+    """
+    c_values = np.asarray(c_grid, dtype=np.float64)[:, None, None]
+    targets = np.where(labels[None, :] == np.arange(n_classes)[:, None], 1.0, -1.0)
+    gram = features @ features.T
+    # Integer-valued, so the running sum is exact.
+    counts = np.zeros((len(c_values), n_classes, features.shape[0]))
+    alpha = np.zeros_like(counts)
     for t in range(1, iterations + 1):
-        margins = features @ weights.T
-        violating = (targets * margins) < 1.0
-        grad = lam * weights - ((targets * violating).T @ features) / n
-        weights -= (1.0 / (lam * t)) * grad
-    return weights
+        counts += targets * (targets * (alpha @ gram) < 1.0)
+        alpha = (c_values / t) * counts
+    return alpha @ features
 
 
 @dataclass
@@ -246,8 +261,9 @@ def zero_shot_transfer(train_modality: str, train: dict[str, np.ndarray],
     """Fit one-vs-all linear classifiers on one modality's representations and
     score them on each test modality's, in the order of ``tests``. C is chosen
     by two-fold cross validation on the training set, whose folds follow the
-    order of ``train``; features are standardized with training statistics
-    only."""
+    order of ``train``: each fold is fitted once for the whole grid, and the
+    first C with the best mean fold accuracy is refitted on the full set.
+    Features are standardized with training statistics only."""
     y_train = np.array([labels[i] for i in train])
     present = set(int(v) for v in y_train)
     missing = sorted(set(range(n_classes)) - present)
@@ -262,19 +278,14 @@ def zero_shot_transfer(train_modality: str, train: dict[str, np.ndarray],
     order = np.random.default_rng(seed).permutation(len(z_train))
     half = len(z_train) // 2
     folds = (order[:half], order[half:])
-    best_c, best_acc = None, -1.0
-    for c_value in c_grid:
-        accs = []
-        for fit_idx, val_idx in ((folds[0], folds[1]), (folds[1], folds[0])):
-            w = _hinge_ova_fit(z_train[fit_idx], y_train[fit_idx], n_classes,
-                               c_value, iterations)
-            pred = np.argmax(z_train[val_idx] @ w.T, axis=1)
-            accs.append(float((pred == y_train[val_idx]).mean()))
-        acc = float(np.mean(accs))
-        if acc > best_acc:
-            best_acc, best_c = acc, c_value
+    accs = []
+    for fit_idx, val_idx in ((folds[0], folds[1]), (folds[1], folds[0])):
+        w = _hinge_ova_fit(z_train[fit_idx], y_train[fit_idx], n_classes, c_grid, iterations)
+        pred = np.argmax(z_train[val_idx] @ w.transpose(0, 2, 1), axis=2)
+        accs.append((pred == y_train[val_idx]).mean(axis=1))
+    best_c = c_grid[int(np.argmax((accs[0] + accs[1]) / 2))]
 
-    weights = _hinge_ova_fit(z_train, y_train, n_classes, best_c, iterations)
+    weights = _hinge_ova_fit(z_train, y_train, n_classes, (best_c,), iterations)[0]
     results = []
     for test_modality, test in tests.items():
         x_test = np.stack(list(test.values()))
@@ -291,7 +302,13 @@ def zero_shot_transfer(train_modality: str, train: dict[str, np.ndarray],
 
 def linear_regression_baseline(source: np.ndarray, target: np.ndarray,
                                ridge_lambda: float = 1e-3) -> np.ndarray:
-    """Closed-form ridge map W minimizing ||S W - T||^2 + lambda ||W||^2."""
+    """Closed-form ridge map W minimizing ||S W - T||^2 + lambda ||W||^2.
+
+    Solved in its n x n dual (Saunders, Gammerman & Vovk, ICML 1998),
+    W = S^T (S S^T + lambda I)^-1 T, so the cost follows the number of
+    training pairs n, not the source width. W equals the d x d normal
+    equations' solution to within rounding, not bit for bit.
+    """
     if ridge_lambda <= 0:
         raise ConfigError(f"ridge lambda must be positive, got {ridge_lambda}")
     source = np.asarray(source, dtype=np.float64)
@@ -300,8 +317,8 @@ def linear_regression_baseline(source: np.ndarray, target: np.ndarray,
         raise ContractError(
             f"paired feature matrices required, got {source.shape} and {target.shape}"
         )
-    gram = source.T @ source + ridge_lambda * np.eye(source.shape[1])
-    return np.linalg.solve(gram, source.T @ target)
+    gram = source @ source.T + ridge_lambda * np.eye(source.shape[0])
+    return source.T @ np.linalg.solve(gram, target)
 
 
 def baseline_retrieval(train_source: dict[str, np.ndarray], train_target: dict[str, np.ndarray],

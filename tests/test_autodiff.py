@@ -123,7 +123,8 @@ def test_conv1d_even_kernel_rejected():
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("shape", [(1, 1, 4, 1, 1), (2, 3, 8, 2, 3), (2, 8, 8, 3, 5)])
+@pytest.mark.parametrize("shape", [(1, 1, 4, 1, 1), (2, 3, 8, 2, 3), (2, 8, 8, 3, 5),
+                                   (1, 300, 1, 16, 1), (1, 257, 1, 8, 1)])
 def test_conv1d_matches_nested_loop_bitwise(seed, shape):
     B, C, L, F, K = shape
     rng = np.random.default_rng(seed)

@@ -195,13 +195,15 @@ def test_ridge_shrinks_monotonically():
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
-def test_ridge_matches_normal_equations_oracle_3x3():
+@pytest.mark.parametrize("n, d", [(3, 5), (3, 3), (5, 3)], ids=["n_lt_d", "n_eq_d", "n_gt_d"])
+def test_ridge_matches_normal_equations_oracle_3x3(n, d):
+    # the baseline solves the n x n dual; the oracle, the d x d normal equations
     rng = np.random.default_rng(2)
-    source = rng.normal(size=(3, 3))
-    target = rng.normal(size=(3, 3))
+    source = rng.normal(size=(n, d))
+    target = rng.normal(size=(n, 3))
     lam = 0.37
     w = ev.linear_regression_baseline(source, target, lam)
-    oracle = np.linalg.inv(source.T @ source + lam * np.eye(3)) @ source.T @ target
+    oracle = np.linalg.inv(source.T @ source + lam * np.eye(d)) @ source.T @ target
     assert np.abs(w - oracle).max() < 1e-10
 
 
@@ -213,6 +215,48 @@ def test_ridge_rejects_nonpositive_lambda():
 
 
 # -- zero-shot transfer --------------------------------------------------------------
+
+
+def hinge_ova_oracle(features, labels, n_classes, c_value, iterations):
+    """Feature-space reference: one-vs-all hinge + L2 by full-batch Pegasos
+    subgradient descent on (K, D) weights, one C at a time."""
+    n = features.shape[0]
+    lam = 1.0 / (c_value * n)
+    targets = np.where(labels[:, None] == np.arange(n_classes)[None, :], 1.0, -1.0)
+    weights = np.zeros((n_classes, features.shape[1]))
+    for t in range(1, iterations + 1):
+        margins = features @ weights.T
+        violating = (targets * margins) < 1.0
+        grad = lam * weights - ((targets * violating).T @ features) / n
+        weights -= (1.0 / (lam * t)) * grad
+    return weights
+
+
+def _labelled_features(n, d, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % n_classes
+    protos = rng.normal(size=(n_classes, d))
+    features = protos[labels] + 2.0 * rng.normal(size=(n, d))
+    return np.hstack([features, np.ones((n, 1))]), labels
+
+
+@pytest.mark.parametrize("n, d", [(30, 64), (120, 16)], ids=["n_lt_D", "n_gt_D"])
+def test_hinge_gram_form_matches_feature_space_oracle(n, d):
+    features, labels = _labelled_features(n, d, 4, seed=n)
+    grid = (0.01, 0.1, 1.0, 10.0)
+    weights = ev._hinge_ova_fit(features, labels, 4, grid, 300)
+    assert weights.shape == (len(grid), 4, d + 1)
+    for w, c_value in zip(weights, grid):
+        oracle = hinge_ova_oracle(features, labels, 4, c_value, 300)
+        np.testing.assert_allclose(w, oracle, rtol=1e-9, atol=0)
+
+
+def test_hinge_grid_fit_equals_single_c_fits_bitwise():
+    features, labels = _labelled_features(40, 20, 3, seed=6)
+    grid = (0.01, 0.1, 1.0, 10.0)
+    weights = ev._hinge_ova_fit(features, labels, 3, grid, 100)
+    for w, c_value in zip(weights, grid):
+        assert np.array_equal(w, ev._hinge_ova_fit(features, labels, 3, (c_value,), 100)[0])
 
 
 def _separable_samples(spec, n, concepts, seed, modality="sound"):
@@ -255,7 +299,9 @@ def test_zero_shot_scores_every_test_modality_with_one_fit(tiny_spec_params, mon
     monkeypatch.setattr(ev, "_hinge_ova_fit", counted)
     both = ev.zero_shot_transfer("sound", train, {"text": test, "sound": train},
                                  {**labels, **test_l}, 3, c_grid=(0.1, 1.0), iterations=50)
-    assert len(fits) == 2 * 2 + 1
+    # one fit per fold for the whole grid, then one with the chosen C
+    assert len(fits) == 2 + 1
+    assert [len(f[3]) for f in fits] == [2, 2, 1]
     [alone] = ev.zero_shot_transfer("sound", train, {"text": test}, {**labels, **test_l}, 3,
                                     c_grid=(0.1, 1.0), iterations=50)
     assert [(r.train_modality, r.test_modality) for r in both] == [("sound", "text"),
@@ -286,7 +332,7 @@ def test_zero_shot_invariant_to_global_power_of_two_scaling(tiny_spec_params):
         y_train = np.array([train_l[s.id] for s in train_s])
         mean, std = x_train.mean(axis=0), x_train.std(axis=0) + 1e-12
         z = np.hstack([(x_train - mean) / std, np.ones((len(x_train), 1))])
-        w = ev._hinge_ova_fit(z, y_train, 3, 1.0, 200)
+        w = ev._hinge_ova_fit(z, y_train, 3, (1.0,), 200)[0]
         x_test = np.stack([vec_test[s.id] for s in test_s]) * scale
         zt = np.hstack([(x_test - mean) / std, np.ones((len(x_test), 1))])
         return np.argmax(zt @ w.T, axis=1)
