@@ -19,17 +19,17 @@ held_out = dataset.triples[200:]
 handles = handles_from_triples(dataset, indices=range(200))
 spec = nets.desk_spec(1 / 16)
 
-pairs = [(t.sound.id, t.text.id) for t in held_out]
-sounds = [t.sound for t in held_out]
-texts = [t.text for t in held_out]
 chance = (len(held_out) + 1) / 2
 
 
 def report(tag, params):
-    res = ev.bridge_transfer_eval(ev.embed_all(params, sounds), ev.embed_all(params, texts),
-                                  pairs, n_splits=1, split_size=len(held_out), seed=0)
-    for direction, r in res.items():
-        print(f"  {tag:<10} {direction:<12} median rank {r.average_median_rank:6.1f} "
+    vectors = {m: ev.embed_all(params, [getattr(t, m) for t in held_out])
+               for m in ("sound", "text")}
+    for src, dst in (("sound", "text"), ("text", "sound")):
+        pairs = [(getattr(t, src).id, getattr(t, dst).id) for t in held_out]
+        r = ev.median_rank_retrieval(vectors[src], vectors[dst], pairs, n_splits=1,
+                                     split_size=len(held_out), seed=0, direction=f"{src}->{dst}")
+        print(f"  {tag:<10} {r.direction:<12} median rank {r.average_median_rank:6.1f} "
               f"(chance {chance:.1f})")
 
 

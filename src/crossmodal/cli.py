@@ -183,11 +183,10 @@ def _spec_from_config(doc: dict):
 
 
 def _train_config(doc: dict) -> TrainConfig:
-    """The train fields, then the nested loss, whose seed defaults to the train seed."""
+    """The train fields, then the nested loss."""
     values = _fields(TrainConfig, doc, "train", extras=("scale",))
     loss = _fields(LossConfig, values.pop("loss", {}), "loss")
-    cfg = TrainConfig(**values)
-    return dataclasses.replace(cfg, loss=LossConfig(**{"seed": cfg.seed, **loss}))
+    return TrainConfig(**values, loss=LossConfig(**loss))
 
 
 def cmd_train(args) -> int:

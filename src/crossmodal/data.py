@@ -148,45 +148,25 @@ def load_text(path, table, stopwords, sample_id: str | None = None) -> Sample:
 # -- splits -----------------------------------------------------------------
 
 
-def make_splits(ids, seed: int, sizes: dict[str, int | None]) -> dict[str, list[str]]:
-    """Deterministic, disjoint, exhaustive train/val/test split of ids.
-
-    ``sizes`` gives counts for any of train/val/test; exactly one entry may be
-    None to absorb the remainder (defaults to train when train is absent).
-    """
+def make_splits(ids, seed: int, val_size: int, test_size: int) -> dict[str, list[str]]:
+    """Deterministic, disjoint, exhaustive train/val/test split of ids:
+    val_size and test_size ids held out, train the remainder."""
     ids = list(ids)
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate ids passed to make_splits")
-    sizes = dict(sizes)
-    for name in ("train", "val", "test"):
-        sizes.setdefault(name, 0 if name != "train" else None)
-    unknown = set(sizes) - {"train", "val", "test"}
-    if unknown:
-        raise ConfigError(f"unknown split names {sorted(unknown)}")
-    open_names = [n for n, v in sizes.items() if v is None]
-    if len(open_names) > 1:
-        raise ConfigError("at most one split size may be left open")
-    fixed_total = sum(v for v in sizes.values() if v is not None)
-    if fixed_total > len(ids):
+    if min(val_size, test_size) < 0:
+        raise ConfigError(f"split sizes must be >= 0, got val {val_size} and test {test_size}")
+    if val_size + test_size > len(ids):
         raise ConfigError(
-            f"split sizes request {fixed_total} ids but only {len(ids)} exist"
+            f"split sizes request {val_size + test_size} ids but only {len(ids)} exist"
         )
-    if not open_names and fixed_total != len(ids):
-        raise ConfigError(
-            f"split sizes sum to {fixed_total}, but {len(ids)} ids must be covered"
-        )
-    if open_names:
-        sizes[open_names[0]] = len(ids) - fixed_total
 
     order = np.random.default_rng(seed).permutation(len(ids))
     shuffled = [ids[i] for i in order]
-    out: dict[str, list[str]] = {}
-    cursor = 0
-    for name in ("train", "val", "test"):
-        count = sizes[name]
-        out[name] = sorted(shuffled[cursor:cursor + count])
-        cursor += count
-    return out
+    train_size = len(ids) - val_size - test_size
+    return {"train": sorted(shuffled[:train_size]),
+            "val": sorted(shuffled[train_size:train_size + val_size]),
+            "test": sorted(shuffled[train_size + val_size:])}
 
 
 # -- synthetic world ---------------------------------------------------------
@@ -397,8 +377,8 @@ class DatasetHandles:
 
 def handles_from_triples(dataset: SyntheticTriples,
                          indices=None) -> DatasetHandles:
-    chosen = dataset.triples if indices is None else \
-        [t for t in dataset.triples if t.index in set(indices)]
+    keep = None if indices is None else set(indices)
+    chosen = [t for t in dataset.triples if keep is None or t.index in keep]
     return DatasetHandles(
         image_sound=[(t.image, t.sound) for t in chosen],
         image_text=[(t.image, t.text) for t in chosen],
@@ -467,7 +447,7 @@ def write_dataset(world: SyntheticWorld, n: int, out_dir,
     formats.save_stopwords(out / "stopwords.txt", FUNCTION_WORDS)
 
     pair_ids = [triple_ids(i)["pair"] for i in range(n)]
-    splits = make_splits(pair_ids, world.seed, {"val": val_size, "test": test_size})
+    splits = make_splits(pair_ids, world.seed, val_size, test_size)
     split_of = {pid: name for name, pids in splits.items() for pid in pids}
 
     rows = []

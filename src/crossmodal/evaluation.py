@@ -1,10 +1,13 @@
-"""Evaluation: cross-modal retrieval, bridge transfer, zero-shot classifier
+"""Evaluation: cross-modal retrieval (the sound<->text bridge is retrieval
+between two modalities training never paired), zero-shot classifier
 transfer, a ridge-regression baseline, and hidden-unit probing.
 
 Embed once, evaluate many: ``embed_taps`` runs one forward per batch and
 keeps every tap, so an eval embeds each (split, modality) once and every
-task reads vectors from that table. Zero-shot transfer fits its classifiers
-once per training modality and scores every test modality with them.
+task reads vectors from that table. Zero-shot transfer, per training
+modality, fits each cross-validation fold once for the whole C grid, fits
+the chosen C once more on the full training set, and scores every test
+modality with that one fit.
 
 A desk eval fits on fewer samples than features, so both fits run in
 sample space, on n x n matrices: the one-vs-all SVMs on the Gram matrix,
@@ -202,20 +205,6 @@ def median_rank_retrieval(queries: dict[str, np.ndarray], targets: dict[str, np.
         medians.append(float(np.median(ranks)))
         all_ranks.append(ranks)
     return RetrievalResult(direction, medians, float(np.mean(medians)), split_size, all_ranks)
-
-
-def bridge_transfer_eval(sound: dict[str, np.ndarray], text: dict[str, np.ndarray],
-                         pairs: list[tuple[str, str]], n_splits: int, split_size: int,
-                         seed: int) -> dict[str, RetrievalResult]:
-    """Sound<->text retrieval through the shared space. The ground-truth
-    pairing exists only here, at evaluation time; training never saw it."""
-    reverse = [(t, s) for s, t in pairs]
-    return {
-        "sound->text": median_rank_retrieval(sound, text, pairs, n_splits, split_size,
-                                             seed, "sound->text"),
-        "text->sound": median_rank_retrieval(text, sound, reverse, n_splits, split_size,
-                                             seed, "text->sound"),
-    }
 
 
 # -- zero-shot classifier transfer ---------------------------------------------

@@ -133,9 +133,11 @@ def save_teacher_csv(path, probs: dict[str, np.ndarray]) -> None:
             writer.writerow([sample_id] + [repr(float(v)) for v in row])
 
 
-def load_teacher_csv(path, output_dim: int | None = None) -> dict[str, np.ndarray]:
-    """Read teacher rows; renormalize rows off by <= 1e-6 and reject worse."""
+def load_teacher_csv(path) -> dict[str, np.ndarray]:
+    """Read teacher rows; renormalize rows off by <= 1e-6 and reject worse.
+    Every row must be as long as the first."""
     probs: dict[str, np.ndarray] = {}
+    width = None
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -145,9 +147,11 @@ def load_teacher_csv(path, output_dim: int | None = None) -> dict[str, np.ndarra
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric probability") from exc
-            if output_dim is not None and vec.size != output_dim:
+            width = vec.size if width is None else width
+            if vec.size != width:
                 raise DataFormatError(
-                    f"{path}:{lineno}: row has {vec.size} probabilities, expected {output_dim}"
+                    f"{path}:{lineno}: row has {vec.size} probabilities, "
+                    f"the first row has {width}"
                 )
             if (vec < 0).any():
                 raise DataFormatError(f"{path}:{lineno}: negative probability")

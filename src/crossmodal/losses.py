@@ -5,7 +5,7 @@ student pathway's softmax output. The ranking loss pushes the cosine
 similarity of synchronized cross-modal pairs above mismatched in-batch pairs
 by a margin, in both directions, on the bottleneck and shared hidden layers.
 Each ranking term is one B x B cosine matrix: its diagonal holds the pairs,
-and a bool mask selects the off-diagonal entries that serve as negatives.
+and every off-diagonal entry serves as a negative.
 Image+sound and image+text batches are supervised; sound+text never is.
 """
 
@@ -31,8 +31,6 @@ class LossConfig:
     ranking_layers: tuple[str, ...] = ("bottleneck", "shared1", "shared2")
     kl_weight: float = 1.0
     ranking_weight: float = 1.0
-    negatives_per_positive: int | None = None  # None: all other in-batch pairs
-    seed: int = 0
 
     def __post_init__(self):
         require(self, self.margin > 0, "margin", "> 0")
@@ -45,9 +43,6 @@ class LossConfig:
                 f"taps among {TAP_NAMES}")
         require(self, self.ranking_weight == 0 or len(self.ranking_layers) > 0,
                 "ranking_layers", "non-empty while ranking_weight > 0")
-        require(self, self.negatives_per_positive is None or self.negatives_per_positive >= 1,
-                "negatives_per_positive", ">= 1 or None")
-        require(self, self.seed >= 0, "seed", ">= 0")
 
 
 def kl_transfer_loss(teacher_probs, student_probs: Tensor) -> Tensor:
@@ -84,29 +79,8 @@ def kl_transfer_loss(teacher_probs, student_probs: Tensor) -> Tensor:
     return (entropy - cross) * (1.0 / batch)
 
 
-def negative_plan(batch_size: int, negatives_per_positive: int | None = None,
-                  seed: int = 0) -> np.ndarray:
-    """(B, B) bool mask of (anchor, negative) pairs within a batch, deterministic given seed.
-
-    Row i marks anchor i's negatives: every other in-batch item, capped at
-    negatives_per_positive per anchor (seeded choice without replacement).
-    """
-    if batch_size < 2:
-        raise ContractError(f"need at least 2 pairs for negatives, got {batch_size}")
-    cap = negatives_per_positive
-    others = ~np.eye(batch_size, dtype=bool)
-    if cap is None or cap >= batch_size - 1:
-        return others
-    rng = np.random.default_rng(seed)
-    mask = np.zeros_like(others)
-    for i in range(batch_size):
-        mask[i, rng.choice(np.flatnonzero(others[i]), size=cap, replace=False)] = True
-    return mask
-
-
-def ranking_loss(anchor_reprs: Tensor, positive_reprs: Tensor,
-                 negatives, margin: float = 0.5) -> Tensor:
-    """Mean over the (i, j) the ``negatives`` mask marks of max(0, margin - S_ii + S_ij),
+def ranking_loss(anchor_reprs: Tensor, positive_reprs: Tensor, margin: float = 0.5) -> Tensor:
+    """Mean over every in-batch i != j of max(0, margin - S_ii + S_ij),
     where S_ij = cos(a_i, p_j) is one cosine matrix."""
     if anchor_reprs.data.ndim != 2 or anchor_reprs.data.shape != positive_reprs.data.shape:
         raise ContractError(
@@ -114,19 +88,12 @@ def ranking_loss(anchor_reprs: Tensor, positive_reprs: Tensor,
             f"{positive_reprs.data.shape} must be equal (B,D)"
         )
     B = anchor_reprs.data.shape[0]
-    mask = np.asarray(negatives)
-    if mask.dtype != bool or mask.shape != (B, B):
-        raise ContractError(f"negative mask must be a ({B}, {B}) bool array, "
-                            f"got {mask.dtype} {mask.shape}")
-    if mask.diagonal().any():
-        raise ContractError("negative mask pairs an anchor with its own positive")
-    count = int(mask.sum())
-    if not count:
-        raise ContractError("negative mask selects no pair")
+    if B < 2:
+        raise ContractError(f"need at least 2 pairs for negatives, got {B}")
 
     sim = ad.cosine_matrix(anchor_reprs, positive_reprs)
     hinge = ad.relu((sim - ad.reshape(ad.diagonal(sim), (B, 1))) + margin)
-    return ad.sum_all(ad.mul(hinge, Tensor(mask))) / count
+    return ad.sum_all(ad.mul(hinge, Tensor(~np.eye(B, dtype=bool)))) / (B * (B - 1))
 
 
 def combined_loss(batch, params: ModelParams,
@@ -146,7 +113,6 @@ def combined_loss(batch, params: ModelParams,
 
     image_arr = np.stack([s.payload for s in batch.anchors], dtype=np.float64)
     other_arr = np.stack([s.payload for s in batch.positives], dtype=np.float64)
-    B = image_arr.shape[0]
 
     teacher_rows = batch.teacher_rows
     if cfg.kl_weight > 0 and teacher_rows is None:
@@ -171,7 +137,6 @@ def combined_loss(batch, params: ModelParams,
         total = kl * cfg.kl_weight
 
     if cfg.ranking_weight > 0:
-        mask = negative_plan(B, cfg.negatives_per_positive, cfg.seed)
         ranking_total: Tensor | None = None
         directions = (("image", image_acts, other_modality, other_acts),
                       (other_modality, other_acts, "image", image_acts))
@@ -180,7 +145,7 @@ def combined_loss(batch, params: ModelParams,
             for anchor, anchor_acts, positive, positive_acts in directions:
                 try:
                     halves.append(ranking_loss(anchor_acts[layer], positive_acts[layer],
-                                               mask, cfg.margin))
+                                               cfg.margin))
                 except (NumericError, DegenerateInputError) as exc:
                     raise type(exc)(
                         f"ranking term ({layer}, {anchor}->{positive}): {exc}") from exc

@@ -20,7 +20,7 @@ from crossmodal import evaluation as ev
 from crossmodal import networks as nets
 from crossmodal.cli import main as cli_main
 from crossmodal.data import SyntheticWorld, generate_synthetic, handles_from_triples
-from crossmodal.losses import LossConfig, kl_transfer_loss, negative_plan, ranking_loss
+from crossmodal.losses import LossConfig, kl_transfer_loss, ranking_loss
 from crossmodal.training import TrainConfig, train
 
 from test_autodiff import op_gradient_cases
@@ -77,11 +77,15 @@ def bridge_runs():
 
 
 def _bridge_ranks(params, held_out, seed=0):
-    pairs = [(t.sound.id, t.text.id) for t in held_out]
-    res = ev.bridge_transfer_eval(ev.embed_all(params, [t.sound for t in held_out]),
-                                  ev.embed_all(params, [t.text for t in held_out]), pairs,
-                                  n_splits=1, split_size=len(held_out), seed=seed)
-    return {k: r.average_median_rank for k, r in res.items()}
+    vectors = {m: ev.embed_all(params, [getattr(t, m) for t in held_out])
+               for m in ("sound", "text")}
+    ranks = {}
+    for src, dst in (("sound", "text"), ("text", "sound")):
+        pairs = [(getattr(t, src).id, getattr(t, dst).id) for t in held_out]
+        ranks[f"{src}->{dst}"] = ev.median_rank_retrieval(
+            vectors[src], vectors[dst], pairs, n_splits=1, split_size=len(held_out),
+            seed=seed, direction=f"{src}->{dst}").average_median_rank
+    return ranks
 
 
 # -- criterion 1: gradient integrity ---------------------------------------------
@@ -121,11 +125,9 @@ def test_criterion_2_loss_oracles():
     assert abs(zero) < 1e-10
 
     hinge_sat = ranking_loss(Tensor([[1.0, 0.0], [0.0, 1.0]]),
-                             Tensor([[2.0, 0.0], [0.0, 3.0]]),
-                             negative_plan(2), margin=0.5).item()
+                             Tensor([[2.0, 0.0], [0.0, 3.0]]), margin=0.5).item()
     assert hinge_sat == 0.0
-    hinge_at = ranking_loss(Tensor(np.eye(4)[:2]), Tensor(np.eye(4)[2:]),
-                            negative_plan(2), margin=1.0).item()
+    hinge_at = ranking_loss(Tensor(np.eye(4)[:2]), Tensor(np.eye(4)[2:]), margin=1.0).item()
     assert abs(hinge_at - 1.0) < 1e-10
 
     # brute-force agreement on random fixtures
@@ -137,7 +139,7 @@ def test_criterion_2_loss_oracles():
         worst = max(worst, abs(kl_transfer_loss(p, Tensor(q)).item() - kl_oracle(p, q)))
         a = rng.normal(size=(4, 7))
         b = rng.normal(size=(4, 7))
-        got = ranking_loss(Tensor(a), Tensor(b), negative_plan(4), margin=0.5).item()
+        got = ranking_loss(Tensor(a), Tensor(b), margin=0.5).item()
         worst = max(worst, abs(got - ranking_oracle(a, b, 0.5)))
     assert worst < 1e-10
     _report(2, True, f"KL and ranking match brute force to 1e-10 "

@@ -370,7 +370,8 @@ def test_unknown_config_field_exits_2(pipeline, tmp_path):
     ("gen-data", "teacher_smoothing", -0.5),
     ("gen-data", "test_size", -2),
     ("gen-data", "triples", 0),
-    # negative seeds, in every config
+    # negative seeds, in every config; the loss has no seed of its own (an
+    # unknown field), since it draws no negatives at random
     ("gen-data", "seed", -1),
     ("train", "seed", -1),
     ("train", "loss", {"seed": -1}),
@@ -380,7 +381,7 @@ def test_unknown_config_field_exits_2(pipeline, tmp_path):
     ("train", "batch_size", 1),
     ("train", "beta1", 1.0),
     ("train", "loss", {"margin": 0}),
-    ("train", "loss", {"negatives_per_positive": 0}),
+    ("train", "loss", {"negatives_per_positive": 0}),  # unknown field: every negative counts
 ])
 def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
                                                   command, field, value):
@@ -456,11 +457,27 @@ def test_failing_task_writes_nothing(pipeline, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_ragged_teacher_csv_exits_3_before_training(pipeline, tmp_path, capsys):
+    # The short row still sums to 1; only its length gives it away.
+    _, data_dir, _ = pipeline
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    lines = (data / "teacher.csv").read_text().splitlines()
+    cells = lines[-1].split(",")
+    lines[-1] = ",".join(cells[:-2] + [repr(float(cells[-2]) + float(cells[-1]))])
+    (data / "teacher.csv").write_text("\n".join(lines) + "\n")
+    code = main(["train", "--config", _write(tmp_path / "cfg.json", TRAIN),
+                 "--data", str(data / "manifest.csv"), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"teacher.csv:{len(lines)}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_seed_only_configs_build_the_library_defaults(seed):
     doc = {"seed": seed}
     assert cli._world_from_config(doc) == (SyntheticWorld(concepts=5, seed=seed), 30, 0, 0)
-    assert cli._train_config(doc) == TrainConfig(seed=seed, loss=LossConfig(seed=seed))
+    assert cli._train_config(doc) == TrainConfig(seed=seed)
     assert cli._spec_from_config(doc) == nets.desk_spec(1 / 16)
     assert ev.EvalConfig(**cli._fields(ev.EvalConfig, doc, "eval")) == ev.EvalConfig(seed=seed)
     # every config field's annotation has a JSON type to check values against

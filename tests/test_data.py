@@ -99,8 +99,8 @@ def test_embed_text_empty_after_filter_is_degenerate():
 
 def test_make_splits_deterministic_disjoint_exhaustive():
     ids = [f"id{i:03d}" for i in range(100)]
-    a = dat.make_splits(ids, seed=3, sizes={"val": 20, "test": 30})
-    b = dat.make_splits(ids, seed=3, sizes={"val": 20, "test": 30})
+    a = dat.make_splits(ids, seed=3, val_size=20, test_size=30)
+    b = dat.make_splits(ids, seed=3, val_size=20, test_size=30)
     assert a == b
     assert len(a["train"]) == 50 and len(a["val"]) == 20 and len(a["test"]) == 30
     union = set(a["train"]) | set(a["val"]) | set(a["test"])
@@ -112,24 +112,24 @@ def test_make_splits_deterministic_disjoint_exhaustive():
 
 def test_make_splits_seed_changes_assignment():
     ids = [f"id{i:03d}" for i in range(60)]
-    a = dat.make_splits(ids, seed=1, sizes={"val": 10, "test": 10})
-    b = dat.make_splits(ids, seed=2, sizes={"val": 10, "test": 10})
+    a = dat.make_splits(ids, seed=1, val_size=10, test_size=10)
+    b = dat.make_splits(ids, seed=2, val_size=10, test_size=10)
     assert a != b
 
 
 def test_make_splits_paper_scale_holdouts():
     # 5,000 held out per eval set, remainder to train
     ids = [f"v{i:05d}" for i in range(20_000)]
-    splits = dat.make_splits(ids, seed=0, sizes={"val": 5000, "test": 5000})
+    splits = dat.make_splits(ids, seed=0, val_size=5000, test_size=5000)
     assert len(splits["val"]) == len(splits["test"]) == 5000
     assert len(splits["train"]) == 10_000
 
 
 def test_make_splits_oversubscription_rejected():
     with pytest.raises(ConfigError):
-        dat.make_splits(["a", "b", "c"], seed=0, sizes={"val": 2, "test": 2})
-    with pytest.raises(ConfigError):
-        dat.make_splits(["a", "b", "c"], seed=0, sizes={"train": 1, "val": 1, "test": 2})
+        dat.make_splits(["a", "b", "c"], seed=0, val_size=2, test_size=2)
+    with pytest.raises(ConfigError):  # would put one id in both train and test
+        dat.make_splits(["a", "b", "c"], seed=0, val_size=-1, test_size=1)
 
 
 # -- synthetic generator -----------------------------------------------------------
@@ -221,6 +221,16 @@ def _handles(n=10, concepts=3, seed=0):
     world = dat.SyntheticWorld(concepts=concepts, seed=seed, output_dim=8)
     ds = dat.generate_synthetic(world, n)
     return dat.handles_from_triples(ds)
+
+
+@pytest.mark.parametrize("wrap", [list, iter], ids=["list", "iterator"])
+def test_handles_keep_exactly_the_indexed_triples(wrap):
+    world = dat.SyntheticWorld(concepts=3, seed=0, output_dim=8)
+    handles = dat.handles_from_triples(dat.generate_synthetic(world, 9), wrap(range(1, 8, 2)))
+    assert [s.id for s, _ in handles.image_sound] == ["img-00001", "img-00003",
+                                                       "img-00005", "img-00007"]
+    assert [t.id for _, t in handles.image_text] == ["txt-00001", "txt-00003",
+                                                      "txt-00005", "txt-00007"]
 
 
 def test_batch_iterator_alternates_and_covers_epoch():

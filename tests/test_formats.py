@@ -77,7 +77,7 @@ def test_teacher_csv_roundtrip_and_renormalization(tmp_path):
             "img-1": np.array([1.0, 0.0, 0.0])}
     path = tmp_path / "teacher.csv"
     formats.save_teacher_csv(path, rows)
-    back = formats.load_teacher_csv(path, output_dim=3)
+    back = formats.load_teacher_csv(path)
     for k in rows:
         assert np.allclose(back[k], rows[k], atol=1e-12)
         assert abs(back[k].sum() - 1.0) < 1e-12
@@ -90,6 +90,9 @@ def test_teacher_csv_rejects_bad_rows(tmp_path):
         formats.load_teacher_csv(path)
     path.write_text("img-0,1.1,-0.1\n")
     with pytest.raises(DataFormatError):
+        formats.load_teacher_csv(path)
+    path.write_text("img-0,0.5,0.25,0.25\nimg-1,0.5,0.5\n")  # ragged: sums to 1, one short
+    with pytest.raises(DataFormatError, match=":2:"):
         formats.load_teacher_csv(path)
     path.write_text("img-0,0.5,0.5\n")
     slightly = formats.load_teacher_csv(path)

@@ -13,7 +13,6 @@ from crossmodal.losses import (
     LossConfig,
     combined_loss,
     kl_transfer_loss,
-    negative_plan,
     ranking_loss,
 )
 
@@ -113,7 +112,7 @@ def test_kl_gradient_matches_finite_differences():
 def test_ranking_zero_when_margin_satisfied():
     anchors = Tensor([[1.0, 0.0], [0.0, 1.0]])
     positives = Tensor([[2.0, 0.0], [0.0, 3.0]])  # cos(pos)=1, cos(neg)=0 < 1-margin
-    out = ranking_loss(anchors, positives, negative_plan(2), margin=0.5)
+    out = ranking_loss(anchors, positives, margin=0.5)
     assert out.item() == 0.0
 
 
@@ -121,15 +120,14 @@ def test_ranking_hinge_at_margin():
     # all representations mutually orthogonal: pos and neg similarities all 0
     anchors = Tensor(np.eye(4)[:2])
     positives = Tensor(np.eye(4)[2:])
-    out = ranking_loss(anchors, positives, negative_plan(2), margin=1.0)
+    out = ranking_loss(anchors, positives, margin=1.0)
     assert abs(out.item() - 1.0) < 1e-12
 
 
 def test_ranking_matches_exhaustive_oracle_batch3():
     anchors = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.3], [0.0, 0.4, 1.0]])
     positives = np.array([[0.9, 0.1, 0.1], [0.0, 1.1, 0.2], [0.2, 0.3, 0.8]])
-    got = ranking_loss(Tensor(anchors), Tensor(positives), negative_plan(3),
-                       margin=0.5).item()
+    got = ranking_loss(Tensor(anchors), Tensor(positives), margin=0.5).item()
     assert abs(got - ranking_oracle(anchors, positives, 0.5)) < 1e-10
 
 
@@ -138,8 +136,7 @@ def test_ranking_matches_oracle_random(seed):
     rng = np.random.default_rng(seed)
     anchors = rng.normal(size=(5, 8))
     positives = rng.normal(size=(5, 8))
-    got = ranking_loss(Tensor(anchors), Tensor(positives), negative_plan(5),
-                       margin=0.5).item()
+    got = ranking_loss(Tensor(anchors), Tensor(positives), margin=0.5).item()
     assert abs(got - ranking_oracle(anchors, positives, 0.5)) < 1e-10
 
 
@@ -147,13 +144,11 @@ def test_ranking_scale_invariance():
     rng = np.random.default_rng(3)
     anchors = rng.normal(size=(4, 6))
     positives = rng.normal(size=(4, 6))
-    base = ranking_loss(Tensor(anchors), Tensor(positives), negative_plan(4),
-                        margin=0.5).item()
+    base = ranking_loss(Tensor(anchors), Tensor(positives), margin=0.5).item()
     for row, c in ((0, 7.3), (2, 0.013)):
         scaled = anchors.copy()
         scaled[row] *= c
-        out = ranking_loss(Tensor(scaled), Tensor(positives), negative_plan(4),
-                           margin=0.5).item()
+        out = ranking_loss(Tensor(scaled), Tensor(positives), margin=0.5).item()
         assert abs(out - base) < 1e-9
 
 
@@ -161,7 +156,7 @@ def test_ranking_zero_when_every_positive_beats_negatives_by_margin():
     # anchors aligned with their positives, negatives orthogonal
     anchors = Tensor(np.eye(3))
     positives = Tensor(np.eye(3) * 4.0)
-    out = ranking_loss(anchors, positives, negative_plan(3), margin=0.9)
+    out = ranking_loss(anchors, positives, margin=0.9)
     assert out.item() == 0.0
 
 
@@ -169,51 +164,19 @@ def test_ranking_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     anchors = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     positives = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    mask = negative_plan(3)
 
     def build():
-        return ranking_loss(anchors, positives, mask, margin=0.5)
+        return ranking_loss(anchors, positives, margin=0.5)
 
     errors = ad.gradient_check(build, {"a": anchors, "p": positives}, eps=1e-6)
     assert max(errors.values()) < 1e-4
 
 
-# The (anchor, negative) pairs negative_plan(6, negatives_per_positive=2, seed=0)
-# listed when it returned a pair list: its mask must pick the same negatives.
-CAPPED_6_2_SEED0 = {(0, 4), (0, 5), (1, 5), (1, 2), (2, 5), (2, 0),
-                    (3, 4), (3, 5), (4, 2), (4, 3), (5, 2), (5, 3)}
-
-
-def test_negative_plan_full_and_capped():
-    full = negative_plan(4)
-    assert full.dtype == bool and np.array_equal(full, ~np.eye(4, dtype=bool))
-    capped = negative_plan(6, negatives_per_positive=2, seed=0)
-    assert capped.shape == (6, 6) and not capped.diagonal().any()
-    assert (capped.sum(axis=1) == 2).all()
-    assert np.array_equal(capped, negative_plan(6, negatives_per_positive=2, seed=0))
-    assert set(map(tuple, np.argwhere(capped).tolist())) == CAPPED_6_2_SEED0
-
-
 def test_ranking_rejects_degenerate_plans():
-    anchors = Tensor(np.eye(2))
-    for mask in (np.eye(2, dtype=bool),        # an anchor paired with its own positive
-                 np.zeros((2, 2), dtype=bool),  # no negative at all
-                 negative_plan(3),              # wrong shape
-                 [(0, 1), (1, 0)]):             # a pair list, not a mask
+    for anchors, positives in ((np.eye(2)[:1], np.eye(2)[:1]),  # one pair: no negative
+                               (np.eye(3)[:2], np.eye(2))):     # unequal shapes
         with pytest.raises(ContractError):
-            ranking_loss(anchors, anchors, mask, margin=0.5)
-
-
-def test_ranking_capped_mask_matches_brute_force_over_its_pairs():
-    rng = np.random.default_rng(6)
-    anchors = rng.normal(size=(6, 5))
-    positives = rng.normal(size=(6, 5))
-    mask = negative_plan(6, negatives_per_positive=2, seed=0)
-    expected = np.mean([max(0.0, 0.5 - cosine_oracle(anchors[i], positives[i])
-                            + cosine_oracle(anchors[i], positives[j]))
-                        for i, j in sorted(CAPPED_6_2_SEED0)])
-    got = ranking_loss(Tensor(anchors), Tensor(positives), mask, margin=0.5).item()
-    assert expected > 0 and abs(got - expected) < 1e-10
+            ranking_loss(Tensor(anchors), Tensor(positives), margin=0.5)
 
 
 # -- combined loss -----------------------------------------------------------------
@@ -258,9 +221,7 @@ def test_combined_weights_0_1_equals_ranking_alone(tiny_spec_params):
     txt = np.stack([s.payload for s in batch.positives])
     ia = nets.forward_batch(params, img, "image")["shared2"]
     ta = nets.forward_batch(params, txt, "text")["shared2"]
-    mask = negative_plan(4, None, cfg.seed)
-    expected = ranking_loss(ia, ta, mask, cfg.margin).item() \
-        + ranking_loss(ta, ia, mask, cfg.margin).item()
+    expected = ranking_loss(ia, ta, cfg.margin).item() + ranking_loss(ta, ia, cfg.margin).item()
     assert abs(total.item() - expected) < 1e-12
     assert "kl" not in terms
 
