@@ -11,12 +11,16 @@ the output gradient to parent gradients. Tensors are immutable once created,
 so creation order (``uid``) is a valid topological order and ``backward``
 walks reachable nodes by descending uid. Everything is float64 and
 deterministic: same inputs, same machine and BLAS thread count, bitwise-same
-outputs.
+outputs. A conv forward large enough splits its output over ``CONV_WORKERS``
+threads; each output element's arithmetic stays the same, so the bits do not
+depend on that count.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable
 
 import numpy as np
@@ -36,6 +40,46 @@ COSINE_MIN_NORM = 1e-12
 # Columns of the channel-major row one conv1d_same forward block sums over:
 # 14 desk text samples (16 + 2 padding columns each) share one row.
 CONV1D_ROW = 256
+# A conv forward with fewer multiply-adds than this runs inline, with no
+# thread involved: the paper text convs at batch 1, the desk text input layer
+# up to batch 36, the desk image convs up to batch 28 and the short sound
+# convs do.
+CONV_SPLIT_MACS = 2**23
+
+
+def _affinity_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _start_pool(workers: int) -> ThreadPoolExecutor | None:
+    return ThreadPoolExecutor(workers, thread_name_prefix="conv") if workers > 1 else None
+
+
+# One conv worker per CPU the process may run on; `taskset` narrows it.
+CONV_WORKERS = _affinity_cpus()
+_POOL = _start_pool(CONV_WORKERS)
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the pool but none of its threads.
+    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=_start_pool(CONV_WORKERS)))
+
+
+def _split(n: int, macs: int, fn: Callable[[int, int], None]) -> None:
+    """Run fn(lo, hi) over disjoint, contiguous parts of range(n), one part
+    per conv worker, wait for every part, then re-raise a part's exception.
+    A call of fewer than CONV_SPLIT_MACS multiply-adds, or with one worker,
+    runs fn(0, n) inline."""
+    parts = min(n, CONV_WORKERS) if macs >= CONV_SPLIT_MACS else 1
+    if parts < 2:
+        fn(0, n)
+        return
+    bounds = [n * i // parts for i in range(parts + 1)]
+    futures = [_POOL.submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 class Tensor:
@@ -308,6 +352,11 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     column a tap reads outside its sample is a zero column: it adds an
     exact zero to a sum that starts at +0.0 and so is never -0.0, which
     changes no bit; the result is bitwise that of the padded loop.
+    A forward of at least CONV_SPLIT_MACS multiply-adds splits over the conv
+    workers (see ``_split``): a batch by samples, each part with its own
+    blocks, and a single sample by output columns, each part reading the
+    sample in place. A part decides only which thread sums an element, so
+    the bits do not follow the worker count.
     Backward runs one GEMM per tap on a shifted view of the flat,
     channels-last padded input (see ``_conv_same_backward``); it is not
     bitwise equal to the per-tap einsum, only to within rounding.
@@ -330,33 +379,46 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     kern = kernels.data
     out = np.zeros((B, F, L))
     S = L + 2 * pad
-    per_block = min(B, max(1, CONV1D_ROW // S))
-    if per_block > 1:
-        # Sample i fills row columns [i*S, i*S + L); its output lands there too.
-        rows = np.zeros((C, per_block, S))
-    for b0 in range(0, B, per_block):
-        n = min(per_block, B - b0)
-        if n == 1 and L > 1:
-            row, acc = x.data[b0], out[b0]
-        elif n == 1:
-            # A one-column row would let einsum reduce the contiguous channel
-            # column in its unrolled loop, out of channel order; a zero
-            # column beside it keeps the reduction sequential.
-            row, acc = np.hstack([x.data[b0], np.zeros((C, 1))]), np.zeros((F, 2))
-        else:
-            rows[:, :n, :L] = x.data[b0:b0 + n].transpose(1, 0, 2)
-            row, acc = rows[:, :n].reshape(C, n * S)[:, :n * S - 2 * pad], np.zeros((F, n * S))
+
+    def add_taps(acc, row, c0, c1):
+        # acc holds output columns [c0, c1) of row; column l reads input
+        # column l + t - pad at tap t.
         W = row.shape[1]
         for t in range(K):
-            # Output column l reads input column l + t - pad.
-            lo, hi = max(0, pad - t), min(W, W + pad - t)
+            lo, hi = max(c0, pad - t), min(c1, W + pad - t)
             if lo < hi:
-                acc[:, lo:hi] += np.einsum("cn,fc->fn", row[:, lo + t - pad:hi + t - pad],
-                                           kern[:, :, t])
-        if n > 1:
-            out[b0:b0 + n] = acc.reshape(F, n, S)[:, :, :L].transpose(1, 0, 2)
-        elif L == 1:
-            out[b0] = acc[:, :1]
+                acc[:, lo - c0:hi - c0] += np.einsum(
+                    "cn,fc->fn", row[:, lo + t - pad:hi + t - pad], kern[:, :, t])
+
+    def samples(s0, s1):
+        per_block = min(s1 - s0, max(1, CONV1D_ROW // S))
+        if per_block > 1:
+            # Sample i fills row columns [i*S, i*S + L); its output lands there too.
+            rows = np.zeros((C, per_block, S))
+        for b0 in range(s0, s1, per_block):
+            n = min(per_block, s1 - b0)
+            if n == 1 and L > 1:
+                add_taps(out[b0], x.data[b0], 0, L)
+            elif n == 1:
+                # A one-column row would let einsum reduce the contiguous channel
+                # column in its unrolled loop, out of channel order; a zero
+                # column beside it keeps the reduction sequential.
+                acc = np.zeros((F, 2))
+                add_taps(acc, np.hstack([x.data[b0], np.zeros((C, 1))]), 0, 2)
+                out[b0] = acc[:, :1]
+            else:
+                rows[:, :n, :L] = x.data[b0:b0 + n].transpose(1, 0, 2)
+                W = n * S - 2 * pad
+                acc = np.zeros((F, n * S))
+                add_taps(acc, rows[:, :n].reshape(C, n * S)[:, :W], 0, W)
+                out[b0:b0 + n] = acc.reshape(F, n, S)[:, :, :L].transpose(1, 0, 2)
+
+    macs = B * F * C * K * L
+    if B == 1 and L > 1:
+        # Each part reads the sample in place and sums into its own columns.
+        _split(L, macs, lambda c0, c1: add_taps(out[0, :, c0:c1], x.data[0], c0, c1))
+    else:
+        _split(B, macs, samples)
     out += bias.data[None, :, None]
 
     def bk(g):
@@ -376,8 +438,11 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
     Forward accumulates one kernel tap at a time, taps outer and channels
     inner (einsum over channels), so the summation order is that of a
     nested-loop evaluation. Each tap's strided window is first copied into
-    one contiguous (B, C, Ho, Wo) buffer, so the einsum runs one long loop
-    over the whole map instead of one output row at a time.
+    one contiguous buffer, so the einsum runs one long loop over the map
+    instead of one output row at a time. A forward of at least
+    CONV_SPLIT_MACS multiply-adds splits over the conv workers (see
+    ``_split``): a batch by samples and a single sample by output rows, each
+    part with its own window buffer; the bits do not follow the worker count.
     At stride 1, backward runs one GEMM per tap on a shifted view of the
     flat, channels-last padded input (see ``_conv_same_backward``); it is not
     bitwise equal to the per-tap einsum, only to within rounding. A strided
@@ -418,11 +483,21 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
     xp = padded()
     kern = kernels.data
     out = np.zeros((B, F, Ho, Wo))
-    win = np.empty((B, C, Ho, Wo))
-    for a in range(Kh):
-        for b in range(Kw):
-            np.copyto(win, window(xp, a, b))
-            out += np.einsum("bchw,fc->bfhw", win, kern[:, :, a, b])
+
+    def block(b0, b1, r0, r1):
+        # Samples [b0, b1), output rows [r0, r1): one window buffer per part.
+        acc = out[b0:b1, :, r0:r1]
+        win = np.empty((b1 - b0, C, r1 - r0, Wo))
+        for a in range(Kh):
+            for b in range(Kw):
+                np.copyto(win, window(xp, a, b)[b0:b1, :, r0:r1])
+                acc += np.einsum("bchw,fc->bfhw", win, kern[:, :, a, b])
+
+    macs = B * F * C * Kh * Kw * Ho * Wo
+    if B > 1:
+        _split(B, macs, lambda b0, b1: block(b0, b1, 0, Ho))
+    else:
+        _split(Ho, macs, lambda r0, r1: block(0, 1, r0, r1))
     out += bias.data[None, :, None, None]
 
     def bk(g):

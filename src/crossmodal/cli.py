@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREADS
+from . import BLAS_THREADS, CONV_WORKERS
 from . import evaluation as ev
 from .data import SyntheticWorld, load_dataset, write_dataset
 from .errors import (
@@ -43,7 +43,8 @@ from .errors import (
 )
 from .losses import LossConfig
 from .networks import MODALITIES, default_paper_spec, desk_spec
-from .training import TrainConfig, load_checkpoint, train, write_trajectory_csv
+from .training import (TrainConfig, check_training_data, load_checkpoint, train,
+                       write_trajectory_csv)
 
 EVAL_TASKS = ("retrieval", "bridge", "zero-shot", "baseline", "probe")
 
@@ -132,6 +133,7 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
         "environment": {"numpy": np.__version__,
                         "blas": {k: blas.get(k) for k in ("name", "version")},
                         "blas_threads": BLAS_THREADS,
+                        "conv_workers": CONV_WORKERS,
                         **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}},
     }
     (out_dir / "run_manifest.json").write_text(
@@ -195,6 +197,7 @@ def cmd_train(args) -> int:
     spec = _spec_from_config(doc)
     dataset = load_dataset(args.data)
     handles = dataset.handles("train")
+    check_training_data(spec, handles, cfg)  # before the run directory exists
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -119,17 +119,8 @@ class TrainResult:
     trajectory: list[TrajectoryRow]
 
 
-def train(spec: NetworkSpec, data: DatasetHandles, cfg: TrainConfig,
-          params: ModelParams | None = None, state: OptimizerState | None = None,
-          start_iteration: int = 0, checkpoint_dir=None) -> TrainResult:
-    """Run the loop from start_iteration to cfg.iterations.
-
-    Pass params/state/start_iteration from a loaded checkpoint to resume; the
-    batch schedule is a pure function of (seed, iteration), so the spliced run
-    matches an unbroken one exactly. Aborts with a NumericError naming the
-    offending term if any loss term goes non-finite, or the degenerate
-    input (a zero-norm row in a ranking cosine) the iteration met.
-    """
+def check_training_data(spec: NetworkSpec, data: DatasetHandles, cfg: TrainConfig) -> None:
+    """Raise ConfigError where the data cannot train this spec under cfg."""
     if not data.image_sound or not data.image_text:
         raise ConfigError("training data must provide image+sound and image+text pairs")
     if cfg.loss.kl_weight > 0 and data.teacher is None:
@@ -141,6 +132,20 @@ def train(spec: NetworkSpec, data: DatasetHandles, cfg: TrainConfig,
                 f"teacher rows have {width} classes but the network outputs "
                 f"{spec.output_dim}; align the dataset's output_dim with the spec"
             )
+
+
+def train(spec: NetworkSpec, data: DatasetHandles, cfg: TrainConfig,
+          params: ModelParams | None = None, state: OptimizerState | None = None,
+          start_iteration: int = 0, checkpoint_dir=None) -> TrainResult:
+    """Run the loop from start_iteration to cfg.iterations.
+
+    Pass params/state/start_iteration from a loaded checkpoint to resume; the
+    batch schedule is a pure function of (seed, iteration), so the spliced run
+    matches an unbroken one exactly. Aborts with a NumericError naming the
+    offending term if any loss term goes non-finite, or the degenerate
+    input (a zero-norm row in a ranking cosine) the iteration met.
+    """
+    check_training_data(spec, data, cfg)
     if params is None:
         params = init_params(spec, cfg.seed, cfg.sigma)
     if state is None:

@@ -1,8 +1,11 @@
 """Tensor op forwards against independent oracles, and gradient integrity."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -66,6 +69,44 @@ def conv2d_oracle(x, kern, bias, stride=1):
                             acc += s
                     out[b, f, i, j] = acc + bias[f]
     return out
+
+
+def conv1d_oracle_at_once(x, kern, bias):
+    """conv1d_oracle's scalar float ops, in its order, at every output
+    position at once: fast enough for full-size layers."""
+    B, C, L = x.shape
+    F, _, K = kern.shape
+    pad = (K - 1) // 2
+    xp = np.zeros((B, C, L + 2 * pad))
+    xp[:, :, pad:pad + L] = x
+    acc = np.zeros((B, F, L))
+    for t in range(K):
+        s = np.zeros((B, F, L))
+        for c in range(C):
+            s += kern[None, :, c, t, None] * xp[:, None, c, t:t + L]
+        acc += s
+    return acc + bias[None, :, None]
+
+
+def conv2d_oracle_at_once(x, kern, bias, stride=1):
+    """conv2d_oracle's scalar float ops, in its order, at every output position at once."""
+    B, C, H, W = x.shape
+    F, _, Kh, Kw = kern.shape
+    ph, pw = (Kh - 1) // 2, (Kw - 1) // 2
+    xp = np.zeros((B, C, H + 2 * ph, W + 2 * pw))
+    xp[:, :, ph:ph + H, pw:pw + W] = x
+    Ho = (H - 1) // stride + 1
+    Wo = (W - 1) // stride + 1
+    acc = np.zeros((B, F, Ho, Wo))
+    for a in range(Kh):
+        for b in range(Kw):
+            s = np.zeros((B, F, Ho, Wo))
+            for c in range(C):
+                window = xp[:, None, c, a:a + stride * (Ho - 1) + 1:stride,
+                            b:b + stride * (Wo - 1) + 1:stride]
+                s += kern[None, :, c, a, b, None, None] * window
+            acc += s
+    return acc + bias[None, :, None, None]
 
 
 # -- forward examples ---------------------------------------------------------
@@ -669,3 +710,180 @@ def test_kernel_gradient_bits_do_not_follow_the_blas_thread_count():
             for threads in ("1", "2")]
     assert runs[0].stdout.split()[0] == "1"
     assert runs[0].stdout == runs[1].stdout
+
+
+# -- conv forwards split over the conv workers ----------------------------
+
+
+@pytest.fixture
+def conv_workers(monkeypatch):
+    """use(n) runs every conv forward split over a pool of n workers, with
+    threads switched often so parts interleave."""
+    monkeypatch.setattr(ad, "CONV_SPLIT_MACS", 0)
+    pools = []
+
+    def use(workers):
+        pools.append(ad._start_pool(workers))
+        monkeypatch.setattr(ad, "CONV_WORKERS", workers)
+        monkeypatch.setattr(ad, "_POOL", pools[-1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools:
+            if pool is not None:
+                pool.shutdown()
+
+
+def _conv(x, k, b, stride):
+    """The op's output and the oracle's, computed at once."""
+    if x.ndim == 3:
+        return ad.conv1d_same(Tensor(x), Tensor(k), Tensor(b)).data, conv1d_oracle_at_once(x, k, b)
+    return (ad.conv2d_same(Tensor(x), Tensor(k), Tensor(b), stride=stride).data,
+            conv2d_oracle_at_once(x, k, b, stride=stride))
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride", [
+    ((2, 3, 8), (2, 3, 3), 1), ((3, 4, 3), (2, 4, 9), 1), ((1, 5, 1), (3, 5, 1), 1),
+    ((2, 3, 8, 7), (2, 3, 3, 3), 2), ((1, 3, 23, 23), (2, 3, 11, 11), 4),
+])
+def test_oracles_at_once_match_the_scalar_loops_bitwise(x_shape, k_shape, stride):
+    # Negative kernels on a zero input with a -0.0 bias also check signed zeros.
+    rng = np.random.default_rng(8)
+    k = -np.abs(rng.normal(size=k_shape))
+    for x, b in [(rng.normal(size=x_shape), rng.normal(size=k_shape[0])),
+                 (np.zeros(x_shape), np.full(k_shape[0], -0.0))]:
+        if len(x_shape) == 3:
+            want, got = conv1d_oracle(x, k, b), conv1d_oracle_at_once(x, k, b)
+        else:
+            want = conv2d_oracle(x, k, b, stride=stride)
+            got = conv2d_oracle_at_once(x, k, b, stride=stride)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride", [
+    # the conv1d oracle tests' shapes: L = 1, blocks, K > L at B = 1 and B > 1
+    *[pytest.param((B, C, L), (F, C, K), 1, id=f"1d-{B}x{C}x{L}-{F}x{K}")
+      for B, C, L, F, K in [(1, 1, 4, 1, 1), (2, 3, 8, 2, 3), (2, 8, 8, 3, 5), (1, 300, 1, 16, 1),
+                            (1, 257, 1, 8, 1), (7, 3, 1, 2, 1), (5, 4, 8, 3, 5), (3, 4, 3, 2, 9),
+                            (1, 4, 3, 2, 9)]],
+    # the desk sound and text input layers, and the paper's 1-D layers at B = 1
+    pytest.param((8, 257, 500), (8, 257, 11), 1, id="desk-sound-input-B8"),
+    pytest.param((30, 257, 500), (8, 257, 11), 1, id="desk-sound-input-B30"),
+    pytest.param((30, 300, 16), (16, 300, 3), 1, id="desk-text-input-B30"),
+    pytest.param((1, 257, 50), (128, 257, 11), 1, id="paper-sound-conv1"),
+    pytest.param((1, 128, 20), (256, 128, 5), 1, id="paper-sound-conv2"),
+    pytest.param((1, 256, 4), (256, 256, 3), 1, id="paper-sound-conv3"),
+    pytest.param((1, 300, 16), (300, 300, 3), 1, id="paper-text-conv"),
+    # the conv2d oracle tests' shapes, a 1x1 kernel on a one-column map
+    pytest.param((2, 3, 8, 7), (2, 3, 3, 3), 1, id="2d-stride1"),
+    pytest.param((2, 3, 8, 7), (2, 3, 3, 3), 2, id="2d-stride2"),
+    pytest.param((1, 3, 23, 23), (2, 3, 11, 11), 4, id="2d-stride4-11x11"),
+    pytest.param((1, 384, 3, 3), (2, 384, 3, 3), 1, id="2d-384-channels"),
+    pytest.param((3, 2, 9, 8), (2, 2, 5, 5), 1, id="2d-batch3-5x5"),
+    pytest.param((1, 4, 5, 1), (2, 4, 1, 1), 1, id="2d-1x1-one-column"),
+    # the desk image conv2 at B = 30, and the paper's 2-D layers at a small map
+    pytest.param((30, 8, 16, 16), (16, 8, 3, 3), 1, id="desk-image-conv2-B30"),
+    pytest.param((1, 3, 35, 35), (96, 3, 11, 11), 4, id="paper-image-conv1"),
+    pytest.param((1, 96, 7, 7), (256, 96, 5, 5), 1, id="paper-image-conv2"),
+    pytest.param((1, 256, 5, 5), (384, 256, 3, 3), 1, id="paper-image-conv3"),
+    pytest.param((1, 384, 5, 5), (384, 384, 3, 3), 1, id="paper-image-conv4"),
+    pytest.param((1, 384, 5, 5), (256, 384, 3, 3), 1, id="paper-image-conv5"),
+])
+def test_conv_forward_bits_do_not_follow_the_worker_count(conv_workers, x_shape, k_shape,
+                                                          stride):
+    # A part decides only which thread computes an output element, so every
+    # worker count gives the nested loop's bits.
+    rng = np.random.default_rng(11)
+    x, k, b = rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0])
+    outs = []
+    for workers in (1, 2, 3):
+        conv_workers(workers)
+        out, want = _conv(x, k, b, stride)
+        outs.append(out.tobytes())
+    assert outs == [want.tobytes()] * 3
+
+
+def test_a_failing_part_reaches_the_caller_after_every_part(conv_workers):
+    conv_workers(2)
+    done = []
+
+    def fn(lo, hi):
+        if lo:
+            raise ValueError(f"part {lo}:{hi}")
+        time.sleep(0.05)
+        done.append((lo, hi))
+
+    with pytest.raises(ValueError, match="part 2:4"):
+        ad._split(4, 0, fn)
+    assert done == [(0, 2)]
+    # The pool still serves the next call.
+    rng = np.random.default_rng(2)
+    out, want = _conv(rng.normal(size=(2, 3, 8, 7)), rng.normal(size=(2, 3, 3, 3)),
+                      rng.normal(size=2), 1)
+    assert np.array_equal(out, want)
+
+
+def test_a_pool_of_one_worker_starts_no_thread(conv_workers, monkeypatch):
+    conv_workers(1)
+
+    def start(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    rng = np.random.default_rng(4)
+    for x_shape, k_shape in [((1, 8, 40), (4, 8, 5)), ((3, 8, 40), (4, 8, 5)),
+                             ((1, 3, 9, 9), (4, 3, 3, 3)), ((3, 3, 9, 9), (4, 3, 3, 3))]:
+        out, want = _conv(rng.normal(size=x_shape), rng.normal(size=k_shape),
+                          rng.normal(size=k_shape[0]), 1)
+        assert np.array_equal(out, want)
+
+
+def _conv_in_child(args, queue):
+    queue.put(_conv(*args)[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_splits_on_its_own_pool(conv_workers):
+    # The child inherits the pool object but none of its threads.
+    conv_workers(2)
+    rng = np.random.default_rng(6)
+    args = (rng.normal(size=(2, 3, 8, 7)), rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2), 1)
+    parent, want = _conv(*args)  # the pool's threads are running now
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_conv_in_child, args=(args, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=30)  # drained before the join
+        child.join(30)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    assert got.tobytes() == parent.tobytes() == want.tobytes()
+
+
+def test_split_conv1d_forward_holds_no_copy_of_the_batch(conv_workers):
+    # The desk sound input layer at B = 30 over two workers: each part reads
+    # its samples in place, so the forward holds the output and, per worker,
+    # at most a block's (C, L + K - 1) row and two (F, L + K - 1)
+    # accumulators; a copy of the batch would be ten times the bound.
+    conv_workers(2)
+    rng = np.random.default_rng(0)
+    (B, C, L), (F, K) = (30, 257, 500), (8, 11)
+    x = Tensor(rng.normal(size=(B, C, L)))
+    k, b = Tensor(rng.normal(size=(F, C, K))), Tensor(rng.normal(size=F))
+    bound = 8 * (B * F * L + 2 * (C + 2 * F) * (L + K - 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.conv1d_same(x, k, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

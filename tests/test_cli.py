@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crossmodal
 from crossmodal import cli
 from crossmodal import evaluation as ev
 from crossmodal import networks as nets
@@ -120,9 +121,10 @@ def test_run_manifest_lists_artifacts(pipeline):
     assert any(a.startswith("checkpoint/final") for a in run_doc["artifacts"])
     # the BLAS library and thread count fix the bits of every artifact
     for env in (doc["environment"], run_doc["environment"]):
-        assert set(env) == {"numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS",
-                            "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert set(env) == {"numpy", "blas", "blas_threads", "conv_workers",
+                            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["blas_threads"] == 1
+        assert env["conv_workers"] == crossmodal.CONV_WORKERS
         assert set(env["blas"]) == {"name", "version"}
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert env[var] == os.environ.get(var)
@@ -470,6 +472,16 @@ def test_ragged_teacher_csv_exits_3_before_training(pipeline, tmp_path, capsys):
                  "--data", str(data / "manifest.csv"), "--out", str(tmp_path / "out")])
     assert code == 3
     assert f"teacher.csv:{len(lines)}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_teacher_width_mismatch_exits_2_before_the_run_directory(pipeline, tmp_path, capsys):
+    # The world's 64 teacher classes against the 128-way softmax of scale 1/8.
+    _, data_dir, _ = pipeline
+    code = main(["train", "--config", _write(tmp_path / "cfg.json", {**TRAIN, "scale": 0.125}),
+                 "--data", str(data_dir / "manifest.csv"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "teacher rows have 64 classes but the network outputs 128" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
