@@ -3,11 +3,12 @@
 Importing the package pins numpy's bundled OpenBLAS to one thread
 (``BLAS_THREADS`` is the count in effect, None under another BLAS): a
 multithreaded BLAS splits long reductions by thread, so the bits of a
-training run would follow ``OPENBLAS_NUM_THREADS``. Conv forwards above
-``autodiff.CONV_SPLIT_MACS`` multiply-adds split their output over
-``CONV_WORKERS`` threads, one per CPU in the process's affinity mask; a split
-never changes how an output element is summed, so the bits are the same at
-any count. ``taskset -c 0`` keeps a run on one core.
+training run would follow ``OPENBLAS_NUM_THREADS``. Single-sample conv
+forwards above ``autodiff.CONV_SPLIT_MACS`` multiply-adds split their output
+over ``CONV_WORKERS`` threads, one per CPU in the process's affinity mask; a
+split never changes how an output element is summed, so the bits are the
+same at any count. A batch runs on one thread. ``taskset -c 0`` keeps a run
+on one core.
 """
 
 import ctypes

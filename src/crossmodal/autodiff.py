@@ -40,10 +40,9 @@ COSINE_MIN_NORM = 1e-12
 # Columns of the channel-major row one conv1d_same forward block sums over:
 # 14 desk text samples (16 + 2 padding columns each) share one row.
 CONV1D_ROW = 256
-# A conv forward with fewer multiply-adds than this runs inline, with no
-# thread involved: the paper text convs at batch 1, the desk text input layer
-# up to batch 36, the desk image convs up to batch 28 and the short sound
-# convs do.
+# A single-sample conv forward with fewer multiply-adds than this runs
+# inline, with no thread involved: the paper's text convs and third sound
+# conv do, and so does every desk layer but the sound input layer.
 CONV_SPLIT_MACS = 2**23
 
 
@@ -55,7 +54,8 @@ def _affinity_cpus() -> int:
 
 
 def _start_pool(workers: int) -> ThreadPoolExecutor | None:
-    return ThreadPoolExecutor(workers, thread_name_prefix="conv") if workers > 1 else None
+    # The calling thread is one of the workers; the pool holds the others.
+    return ThreadPoolExecutor(workers - 1, thread_name_prefix="conv") if workers > 1 else None
 
 
 # One conv worker per CPU the process may run on; `taskset` narrows it.
@@ -68,16 +68,25 @@ if hasattr(os, "register_at_fork"):
 
 def _split(n: int, macs: int, fn: Callable[[int, int], None]) -> None:
     """Run fn(lo, hi) over disjoint, contiguous parts of range(n), one part
-    per conv worker, wait for every part, then re-raise a part's exception.
-    A call of fewer than CONV_SPLIT_MACS multiply-adds, or with one worker,
-    runs fn(0, n) inline."""
-    parts = min(n, CONV_WORKERS) if macs >= CONV_SPLIT_MACS else 1
+    per conv worker: the calling thread runs the first part and the pool's
+    threads the others. The call returns once every part has stopped, then
+    re-raises a part's exception. A call of fewer than CONV_SPLIT_MACS
+    multiply-adds, with one worker, or with n < 4 runs fn(0, n) inline.
+
+    Every part spans at least two indices: a part of one output row of one
+    column would leave each filter a single output element, and einsum then
+    sums the contiguous channel column in its unrolled loop, out of channel
+    order."""
+    parts = min(n // 2, CONV_WORKERS) if macs >= CONV_SPLIT_MACS else 1
     if parts < 2:
         fn(0, n)
         return
     bounds = [n * i // parts for i in range(parts + 1)]
-    futures = [_POOL.submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    wait(futures)
+    futures = [_POOL.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(bounds[0], bounds[1])
+    finally:
+        wait(futures)
     for future in futures:
         future.result()
 
@@ -352,11 +361,13 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     column a tap reads outside its sample is a zero column: it adds an
     exact zero to a sum that starts at +0.0 and so is never -0.0, which
     changes no bit; the result is bitwise that of the padded loop.
-    A forward of at least CONV_SPLIT_MACS multiply-adds splits over the conv
-    workers (see ``_split``): a batch by samples, each part with its own
-    blocks, and a single sample by output columns, each part reading the
-    sample in place. A part decides only which thread sums an element, so
-    the bits do not follow the worker count.
+    A single-sample forward of at least CONV_SPLIT_MACS multiply-adds splits
+    its output columns over the conv workers (see ``_split``), each part
+    reading the sample in place. A part decides only which thread sums an
+    element, so the bits do not follow the worker count. A batch runs on the
+    calling thread: split by samples, the desk sound input layer at B=30 ran
+    1.8 times as fast with the second CPU free and no faster with it busy,
+    so a batch's time would follow the machine's other load.
     Backward runs one GEMM per tap on a shifted view of the flat,
     channels-last padded input (see ``_conv_same_backward``); it is not
     bitwise equal to the per-tap einsum, only to within rounding.
@@ -390,35 +401,30 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
                 acc[:, lo - c0:hi - c0] += np.einsum(
                     "cn,fc->fn", row[:, lo + t - pad:hi + t - pad], kern[:, :, t])
 
-    def samples(s0, s1):
-        per_block = min(s1 - s0, max(1, CONV1D_ROW // S))
-        if per_block > 1:
-            # Sample i fills row columns [i*S, i*S + L); its output lands there too.
-            rows = np.zeros((C, per_block, S))
-        for b0 in range(s0, s1, per_block):
-            n = min(per_block, s1 - b0)
-            if n == 1 and L > 1:
-                add_taps(out[b0], x.data[b0], 0, L)
-            elif n == 1:
-                # A one-column row would let einsum reduce the contiguous channel
-                # column in its unrolled loop, out of channel order; a zero
-                # column beside it keeps the reduction sequential.
-                acc = np.zeros((F, 2))
-                add_taps(acc, np.hstack([x.data[b0], np.zeros((C, 1))]), 0, 2)
-                out[b0] = acc[:, :1]
-            else:
-                rows[:, :n, :L] = x.data[b0:b0 + n].transpose(1, 0, 2)
-                W = n * S - 2 * pad
-                acc = np.zeros((F, n * S))
-                add_taps(acc, rows[:, :n].reshape(C, n * S)[:, :W], 0, W)
-                out[b0:b0 + n] = acc.reshape(F, n, S)[:, :, :L].transpose(1, 0, 2)
-
-    macs = B * F * C * K * L
-    if B == 1 and L > 1:
-        # Each part reads the sample in place and sums into its own columns.
-        _split(L, macs, lambda c0, c1: add_taps(out[0, :, c0:c1], x.data[0], c0, c1))
-    else:
-        _split(B, macs, samples)
+    per_block = min(B, max(1, CONV1D_ROW // S))
+    if per_block > 1:
+        # Sample i fills row columns [i*S, i*S + L); its output lands there too.
+        rows = np.zeros((C, per_block, S))
+    for b0 in range(0, B, per_block):
+        n = min(per_block, B - b0)
+        if n == 1 and L > 1 and B == 1:
+            # Each part reads the sample in place and sums into its own columns.
+            _split(L, F * C * K * L, lambda c0, c1: add_taps(out[0, :, c0:c1], x.data[0], c0, c1))
+        elif n == 1 and L > 1:
+            add_taps(out[b0], x.data[b0], 0, L)
+        elif n == 1:
+            # A one-column row would let einsum reduce the contiguous channel
+            # column in its unrolled loop, out of channel order; a zero
+            # column beside it keeps the reduction sequential.
+            acc = np.zeros((F, 2))
+            add_taps(acc, np.hstack([x.data[b0], np.zeros((C, 1))]), 0, 2)
+            out[b0] = acc[:, :1]
+        else:
+            rows[:, :n, :L] = x.data[b0:b0 + n].transpose(1, 0, 2)
+            W = n * S - 2 * pad
+            acc = np.zeros((F, n * S))
+            add_taps(acc, rows[:, :n].reshape(C, n * S)[:, :W], 0, W)
+            out[b0:b0 + n] = acc.reshape(F, n, S)[:, :, :L].transpose(1, 0, 2)
     out += bias.data[None, :, None]
 
     def bk(g):
@@ -439,10 +445,11 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
     inner (einsum over channels), so the summation order is that of a
     nested-loop evaluation. Each tap's strided window is first copied into
     one contiguous buffer, so the einsum runs one long loop over the map
-    instead of one output row at a time. A forward of at least
-    CONV_SPLIT_MACS multiply-adds splits over the conv workers (see
-    ``_split``): a batch by samples and a single sample by output rows, each
-    part with its own window buffer; the bits do not follow the worker count.
+    instead of one output row at a time. A single-sample forward of at least
+    CONV_SPLIT_MACS multiply-adds splits its output rows over the conv
+    workers (see ``_split``), each part with its own window buffer; the bits
+    do not follow the worker count. A batch runs on the calling thread, as in
+    ``conv1d_same``.
     At stride 1, backward runs one GEMM per tap on a shifted view of the
     flat, channels-last padded input (see ``_conv_same_backward``); it is not
     bitwise equal to the per-tap einsum, only to within rounding. A strided
@@ -484,20 +491,19 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
     kern = kernels.data
     out = np.zeros((B, F, Ho, Wo))
 
-    def block(b0, b1, r0, r1):
-        # Samples [b0, b1), output rows [r0, r1): one window buffer per part.
-        acc = out[b0:b1, :, r0:r1]
-        win = np.empty((b1 - b0, C, r1 - r0, Wo))
+    def rows(r0, r1):
+        # Output rows [r0, r1) of every sample: one window buffer per part.
+        acc = out[:, :, r0:r1]
+        win = np.empty((B, C, r1 - r0, Wo))
         for a in range(Kh):
             for b in range(Kw):
-                np.copyto(win, window(xp, a, b)[b0:b1, :, r0:r1])
+                np.copyto(win, window(xp, a, b)[:, :, r0:r1])
                 acc += np.einsum("bchw,fc->bfhw", win, kern[:, :, a, b])
 
-    macs = B * F * C * Kh * Kw * Ho * Wo
-    if B > 1:
-        _split(B, macs, lambda b0, b1: block(b0, b1, 0, Ho))
+    if B == 1:
+        _split(Ho, F * C * Kh * Kw * Ho * Wo, rows)
     else:
-        _split(Ho, macs, lambda r0, r1: block(0, 1, r0, r1))
+        rows(0, Ho)
     out += bias.data[None, :, None, None]
 
     def bk(g):

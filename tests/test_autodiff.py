@@ -807,24 +807,43 @@ def test_conv_forward_bits_do_not_follow_the_worker_count(conv_workers, x_shape,
     assert outs == [want.tobytes()] * 3
 
 
-def test_a_failing_part_reaches_the_caller_after_every_part(conv_workers):
+@pytest.mark.parametrize("failing", [0, 2], ids=["caller's-part", "pool's-part"])
+def test_a_failing_part_reaches_the_caller_after_every_part(conv_workers, failing):
     conv_workers(2)
     done = []
 
     def fn(lo, hi):
-        if lo:
+        if lo == failing:
             raise ValueError(f"part {lo}:{hi}")
         time.sleep(0.05)
         done.append((lo, hi))
 
-    with pytest.raises(ValueError, match="part 2:4"):
+    with pytest.raises(ValueError, match=f"part {failing}:{failing + 2}"):
         ad._split(4, 0, fn)
-    assert done == [(0, 2)]
+    assert done == [(2 - failing, 4 - failing)]
     # The pool still serves the next call.
     rng = np.random.default_rng(2)
-    out, want = _conv(rng.normal(size=(2, 3, 8, 7)), rng.normal(size=(2, 3, 3, 3)),
+    out, want = _conv(rng.normal(size=(1, 3, 8, 7)), rng.normal(size=(2, 3, 3, 3)),
                       rng.normal(size=2), 1)
     assert np.array_equal(out, want)
+
+
+def test_one_contiguous_part_per_worker_the_first_on_the_caller(conv_workers):
+    conv_workers(3)
+    done = {}
+    ad._split(16, 0, lambda lo, hi: done.update(
+        {(lo, hi): threading.current_thread() is threading.main_thread()}))
+    assert done == {(0, 5): True, (5, 10): False, (10, 16): False}
+
+
+def test_a_batch_runs_on_the_calling_thread(conv_workers, monkeypatch):
+    conv_workers(2)
+    monkeypatch.setattr(ad, "_split", None)  # any split would fail
+    rng = np.random.default_rng(3)
+    for x_shape, k_shape in [((2, 8, 40), (4, 8, 5)), ((2, 3, 9, 9), (4, 3, 3, 3))]:
+        out, want = _conv(rng.normal(size=x_shape), rng.normal(size=k_shape),
+                          rng.normal(size=k_shape[0]), 1)
+        assert np.array_equal(out, want)
 
 
 def test_a_pool_of_one_worker_starts_no_thread(conv_workers, monkeypatch):
@@ -851,7 +870,7 @@ def test_a_forked_child_splits_on_its_own_pool(conv_workers):
     # The child inherits the pool object but none of its threads.
     conv_workers(2)
     rng = np.random.default_rng(6)
-    args = (rng.normal(size=(2, 3, 8, 7)), rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2), 1)
+    args = (rng.normal(size=(1, 3, 8, 7)), rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2), 1)
     parent, want = _conv(*args)  # the pool's threads are running now
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
@@ -867,17 +886,17 @@ def test_a_forked_child_splits_on_its_own_pool(conv_workers):
     assert got.tobytes() == parent.tobytes() == want.tobytes()
 
 
-def test_split_conv1d_forward_holds_no_copy_of_the_batch(conv_workers):
-    # The desk sound input layer at B = 30 over two workers: each part reads
-    # its samples in place, so the forward holds the output and, per worker,
-    # at most a block's (C, L + K - 1) row and two (F, L + K - 1)
-    # accumulators; a copy of the batch would be ten times the bound.
+def test_split_conv1d_forward_holds_no_copy_of_the_sample(conv_workers):
+    # The sound input layer at B = 1 over two workers: each part reads the
+    # sample in place, so the forward holds the output and, per worker, at
+    # most one tap's (F, L) sum and numpy's 8192-element iterator buffer; a
+    # copy of the sample would be four times the bound.
     conv_workers(2)
     rng = np.random.default_rng(0)
-    (B, C, L), (F, K) = (30, 257, 500), (8, 11)
+    (B, C, L), (F, K) = (1, 257, 500), (8, 11)
     x = Tensor(rng.normal(size=(B, C, L)))
     k, b = Tensor(rng.normal(size=(F, C, K))), Tensor(rng.normal(size=F))
-    bound = 8 * (B * F * L + 2 * (C + 2 * F) * (L + K - 1))
+    bound = 8 * (F * L + 2 * (F * L + 8192))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
