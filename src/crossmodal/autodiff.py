@@ -226,13 +226,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
-    mask = a.data > 0.0  # subgradient 0 at exactly 0
-
     def bk(g):
-        return (g * mask,)
+        return (g * (a.data > 0.0),)  # subgradient 0 at exactly 0
 
-    return _node(data, (a,), bk, "relu")
+    return _node(np.maximum(a.data, 0.0), (a,), bk, "relu")
 
 
 def log(a: Tensor) -> Tensor:
@@ -246,13 +243,10 @@ def log(a: Tensor) -> Tensor:
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
-    data = np.maximum(a.data, floor)
-    mask = a.data >= floor
-
     def bk(g):
-        return (g * mask,)
+        return (g * (a.data >= floor),)
 
-    return _node(data, (a,), bk, "clamp_min")
+    return _node(np.maximum(a.data, floor), (a,), bk, "clamp_min")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -529,30 +523,59 @@ def conv2d_same(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Te
     return _node(out, (x, kernels, bias), bk, "conv2d_same")
 
 
+def _window_max(x: Tensor, window: tuple[int, ...], stride: tuple[int, ...],
+                out_shape: tuple[int, ...], op: str) -> Tensor:
+    """Window max over the trailing axes: along each, output i reads inputs
+    i*stride up to i*stride + window - 1, cut off at the end of the axis.
+
+    The forward keeps a running np.maximum over one strided view per window
+    offset, in row-major offset order; a view that ends before the last
+    output (a ceil-mode tail) updates only the outputs it covers. The
+    backward sends each output's gradient to the first offset that holds its
+    maximum, adding one offset's share at a time, so an input that is the
+    maximum of several overlapping windows sums their gradients in offset
+    order.
+    """
+    nout = out_shape[-len(window):]
+    offsets = list(np.ndindex(*window))
+
+    def view(arr, offset):
+        return arr[(..., *(slice(o, o + s * (n - 1) + 1, s)
+                           for o, s, n in zip(offset, stride, nout)))]
+
+    out = view(x.data, offsets[0]).copy()  # the first offset covers every output
+    for offset in offsets[1:]:
+        v = view(x.data, offset)
+        part = out[tuple(map(slice, v.shape))]
+        np.maximum(part, v, out=part)
+
+    def bk(g):
+        dx = np.zeros(x.data.shape)
+        unsent = np.ones(out.shape, dtype=bool)  # no offset has taken the gradient yet
+        for offset in offsets:
+            v, dv = view(x.data, offset), view(dx, offset)
+            c = tuple(map(slice, v.shape))
+            hit = v == out[c]
+            hit &= unsent[c]
+            unsent[c] ^= hit
+            dv += g[c] * hit
+        return (dx,)
+
+    return _node(out, (x,), bk, op)
+
+
 def maxpool1d(x: Tensor, factor: int) -> Tensor:
     """Non-overlapping window max over the last axis, ceil mode.
 
-    x: (B, C, L) -> (B, C, ceil(L/factor)). Ragged tails are padded with -inf,
-    and the backward pass routes the gradient to the first maximal element.
+    x: (B, C, L) -> (B, C, ceil(L/factor)); a ragged tail window holds fewer
+    elements. The gradient goes to the first maximal element of each window.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool1d expects (B,C,L), got {x.data.shape}")
     if factor < 1:
         raise ConfigError(f"maxpool1d factor must be >= 1, got {factor}")
     B, C, L = x.data.shape
-    Lo = -(-L // factor)
-    xp = np.full((B, C, Lo * factor), -np.inf)
-    xp[:, :, :L] = x.data
-    windows = xp.reshape(B, C, Lo, factor)
-    out = windows.max(axis=-1)
-    arg = windows.argmax(axis=-1)  # first maximum wins ties
-
-    def bk(g):
-        dw = np.zeros((B, C, Lo, factor))
-        np.put_along_axis(dw, arg[..., None], g[..., None], axis=-1)
-        return (dw.reshape(B, C, Lo * factor)[:, :, :L].copy(),)
-
-    return _node(out, (x,), bk, "maxpool1d")
+    return _window_max(x, (factor,), (factor,), (B, C, -(-L // factor)), "maxpool1d")
 
 
 def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
@@ -572,33 +595,8 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
     B, C, H, W = x.data.shape
     if window > H or window > W:
         raise ShapeError(f"maxpool2d window {window} exceeds input {H}x{W}")
-    Ho = (H - window) // stride + 1
-    Wo = (W - window) // stride + 1
-
-    # Stack the window offsets in row-major order so argmax ties resolve to
-    # the first (lowest-index) element.
-    tiles = np.empty((window * window, B, C, Ho, Wo))
-    for a in range(window):
-        for b in range(window):
-            tiles[a * window + b] = x.data[:, :, a:a + stride * (Ho - 1) + 1:stride,
-                                           b:b + stride * (Wo - 1) + 1:stride]
-    out = tiles.max(axis=0)
-    arg = tiles.argmax(axis=0)
-
-    def bk(g):
-        dx = np.zeros((B, C, H * W))
-        # flat input position of each window's argmax
-        oh = np.arange(Ho)[:, None] * stride
-        ow = np.arange(Wo)[None, :] * stride
-        pos_h = oh[None, None] + arg // window
-        pos_w = ow[None, None] + arg % window
-        flat = pos_h * W + pos_w
-        bi = np.arange(B)[:, None, None, None]
-        ci = np.arange(C)[None, :, None, None]
-        np.add.at(dx, (bi, ci, flat), g)
-        return (dx.reshape(B, C, H, W),)
-
-    return _node(out, (x,), bk, "maxpool2d")
+    out_shape = (B, C, (H - window) // stride + 1, (W - window) // stride + 1)
+    return _window_max(x, (window, window), (stride, stride), out_shape, "maxpool2d")
 
 
 def softmax(x: Tensor) -> Tensor:

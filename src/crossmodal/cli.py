@@ -141,10 +141,10 @@ def _write_run_manifest(out_dir: Path, command: str, args, seed: int,
 
 
 # The world config's CLI-only fields, each with its default and least value.
-_WORLD_COUNTS = {"triples": (30, 1), "val_size": (0, 0), "test_size": (0, 0)}
+_WORLD_COUNTS = {"triples": (30, 1), "test_size": (0, 0)}
 
 
-def _world_from_config(doc: dict) -> tuple[SyntheticWorld, int, int, int]:
+def _world_from_config(doc: dict) -> tuple[SyntheticWorld, int, int]:
     world = SyntheticWorld(**{"concepts": 5,
                               **_fields(SyntheticWorld, doc, "world", _WORLD_COUNTS)})
     counts = []
@@ -154,19 +154,19 @@ def _world_from_config(doc: dict) -> tuple[SyntheticWorld, int, int, int]:
             raise ConfigError(f"world config field {name!r} must be an integer >= {least}, "
                               f"got {value!r}")
         counts.append(value)
-    n, val_size, test_size = counts
-    if val_size + test_size > n:
-        raise ConfigError(f"world config fields 'val_size' + 'test_size' ({val_size} + "
-                          f"{test_size}) must be at most 'triples' ({n})")
+    n, test_size = counts
+    if test_size > n:
+        raise ConfigError(f"world config field 'test_size' ({test_size}) must be at most "
+                          f"'triples' ({n})")
     return (world, *counts)
 
 
 def cmd_gen_data(args) -> int:
     doc = _load_config(args.config)
-    world, n, val_size, test_size = _world_from_config(doc)
+    world, n, test_size = _world_from_config(doc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_dataset(world, n, out, val_size=val_size, test_size=test_size)
+    write_dataset(world, n, out, test_size=test_size)
     artifacts = [str(p.relative_to(out)) for p in sorted(out.rglob("*"))
                  if p.is_file() and p.name != "run_manifest.json"]
     _write_run_manifest(out, "gen-data", args, world.seed, artifacts)

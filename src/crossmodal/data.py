@@ -148,25 +148,19 @@ def load_text(path, table, stopwords, sample_id: str | None = None) -> Sample:
 # -- splits -----------------------------------------------------------------
 
 
-def make_splits(ids, seed: int, val_size: int, test_size: int) -> dict[str, list[str]]:
-    """Deterministic, disjoint, exhaustive train/val/test split of ids:
-    val_size and test_size ids held out, train the remainder."""
+def make_splits(ids, seed: int, test_size: int) -> dict[str, list[str]]:
+    """Deterministic, disjoint, exhaustive train/test split of ids:
+    test_size ids held out, train the remainder."""
     ids = list(ids)
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate ids passed to make_splits")
-    if min(val_size, test_size) < 0:
-        raise ConfigError(f"split sizes must be >= 0, got val {val_size} and test {test_size}")
-    if val_size + test_size > len(ids):
-        raise ConfigError(
-            f"split sizes request {val_size + test_size} ids but only {len(ids)} exist"
-        )
+    if not 0 <= test_size <= len(ids):
+        raise ConfigError(f"test split size must be in [0, {len(ids)}], got {test_size}")
 
     order = np.random.default_rng(seed).permutation(len(ids))
     shuffled = [ids[i] for i in order]
-    train_size = len(ids) - val_size - test_size
-    return {"train": sorted(shuffled[:train_size]),
-            "val": sorted(shuffled[train_size:train_size + val_size]),
-            "test": sorted(shuffled[train_size + val_size:])}
+    train_size = len(ids) - test_size
+    return {"train": sorted(shuffled[:train_size]), "test": sorted(shuffled[train_size:])}
 
 
 # -- synthetic world ---------------------------------------------------------
@@ -434,8 +428,7 @@ def schedule_batch(handles: DatasetHandles, batch_size: int, seed: int,
 # -- on-disk datasets ----------------------------------------------------------
 
 
-def write_dataset(world: SyntheticWorld, n: int, out_dir,
-                  val_size: int = 0, test_size: int = 0) -> Path:
+def write_dataset(world: SyntheticWorld, n: int, out_dir, test_size: int = 0) -> Path:
     """Write n triples in the declared file formats plus manifest, labels,
     teacher CSV, embedding table, and stop-word list. Returns the manifest path."""
     out = Path(out_dir)
@@ -447,7 +440,7 @@ def write_dataset(world: SyntheticWorld, n: int, out_dir,
     formats.save_stopwords(out / "stopwords.txt", FUNCTION_WORDS)
 
     pair_ids = [triple_ids(i)["pair"] for i in range(n)]
-    splits = make_splits(pair_ids, world.seed, val_size, test_size)
+    splits = make_splits(pair_ids, world.seed, test_size)
     split_of = {pid: name for name, pids in splits.items() for pid in pids}
 
     rows = []

@@ -12,16 +12,16 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import ClassVar, get_args
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import MODALITIES
 from .errors import ConfigError, ShapeError
 
-MODALITIES = ("image", "sound", "text")
 TAP_NAMES = ("bottleneck", "shared1", "shared2", "softmax")
 
 
@@ -295,20 +295,27 @@ def desk_spec(scale: float) -> NetworkSpec:
     """Proportionally narrowed spec for CPU-scale experiments.
 
     scale=1 returns the paper architecture unchanged. For scale<1, sound and
-    text keep their topology and pooling factors with filter counts and widths
-    scaled (rounded to a multiple of 8), while the vision pathway swaps the
+    text keep the paper's topology and pooling factors with every layer's
+    filter count or width scaled (rounded to a multiple of 8), and so do the
+    trunk, output and bottleneck, while the vision pathway swaps the
     Krizhevsky stack for a three-conv 32x32 stack: the claims under test
     concern alignment, not ImageNet-scale vision.
     """
     if not 0 < scale <= 1:
         raise ConfigError(f"scale must be in (0, 1], got {scale}")
+    paper = default_paper_spec()
     if scale == 1:
-        return default_paper_spec()
-    bottleneck = _scaled(9216, scale)
-    return NetworkSpec(
+        return paper
+
+    def narrow(layers):
+        return tuple(replace(layer, **{f.name: _scaled(getattr(layer, f.name), scale)
+                                       for f in fields(layer) if f.name in ("filters", "width")})
+                     for layer in layers)
+
+    bottleneck = _scaled(paper.bottleneck_dim, scale)
+    return replace(
+        paper,
         vision_input=(3, 32, 32),
-        sound_input=(257, 500),
-        text_input=(300, 16),
         vision_layers=(
             Conv2dSpec(3, _scaled(128, scale)),
             Pool2dSpec(2, 2),
@@ -319,27 +326,10 @@ def desk_spec(scale: float) -> NetworkSpec:
             FlattenSpec(),
             DenseSpec(bottleneck),
         ),
-        sound_layers=(
-            Conv1dSpec(11, _scaled(128, scale)),
-            Pool1dSpec(5),
-            Conv1dSpec(5, _scaled(256, scale)),
-            Pool1dSpec(5),
-            Conv1dSpec(3, _scaled(256, scale)),
-            Pool1dSpec(5),
-            FlattenSpec(),
-            DenseSpec(bottleneck),
-        ),
-        text_layers=(
-            Conv1dSpec(3, _scaled(300, scale)),
-            Conv1dSpec(3, _scaled(300, scale)),
-            Pool1dSpec(2),
-            Conv1dSpec(3, _scaled(300, scale)),
-            Pool1dSpec(2),
-            FlattenSpec(),
-            DenseSpec(bottleneck),
-        ),
-        shared_widths=(_scaled(4096, scale), _scaled(4096, scale)),
-        output_dim=_scaled(1000, scale),
+        sound_layers=narrow(paper.sound_layers),
+        text_layers=narrow(paper.text_layers),
+        shared_widths=tuple(_scaled(w, scale) for w in paper.shared_widths),
+        output_dim=_scaled(paper.output_dim, scale),
         bottleneck_dim=bottleneck,
     )
 

@@ -109,6 +109,40 @@ def conv2d_oracle_at_once(x, kern, bias, stride=1):
     return acc + bias[None, :, None, None]
 
 
+def maxpool1d_oracle(x, factor, g):
+    """Ceil-mode pool by a -inf padded reshape, and its gradient g sent to
+    each window's argmax: (output, input gradient)."""
+    B, C, L = x.shape
+    Lo = -(-L // factor)
+    xp = np.full((B, C, Lo * factor), -np.inf)
+    xp[:, :, :L] = x
+    windows = xp.reshape(B, C, Lo, factor)
+    arg = windows.argmax(axis=-1)  # first maximum wins ties
+    dw = np.zeros((B, C, Lo, factor))
+    np.put_along_axis(dw, arg[..., None], g[..., None], axis=-1)
+    return windows.max(axis=-1), dw.reshape(B, C, Lo * factor)[:, :, :L].copy()
+
+
+def maxpool2d_oracle(x, window, stride, g):
+    """Floor-mode pool over a stack of every window offset in row-major order,
+    and its gradient g scattered onto each window's argmax in output order:
+    (output, input gradient)."""
+    B, C, H, W = x.shape
+    Ho, Wo = (H - window) // stride + 1, (W - window) // stride + 1
+    tiles = np.empty((window * window, B, C, Ho, Wo))
+    for a in range(window):
+        for b in range(window):
+            tiles[a * window + b] = x[:, :, a:a + stride * (Ho - 1) + 1:stride,
+                                      b:b + stride * (Wo - 1) + 1:stride]
+    arg = tiles.argmax(axis=0)
+    pos_h = np.arange(Ho)[:, None] * stride + arg // window
+    pos_w = np.arange(Wo)[None, :] * stride + arg % window
+    dx = np.zeros((B, C, H * W))
+    np.add.at(dx, (np.arange(B)[:, None, None, None], np.arange(C)[None, :, None, None],
+                   pos_h * W + pos_w), g)
+    return tiles.max(axis=0), dx.reshape(B, C, H, W)
+
+
 # -- forward examples ---------------------------------------------------------
 
 
@@ -334,6 +368,91 @@ def test_maxpool1d_tie_routes_gradient_to_first():
 def test_maxpool2d_overlapping_shapes():
     out = ad.maxpool2d(Tensor(np.zeros((1, 1, 57, 57))), 3, 2)
     assert out.data.shape == (1, 1, 28, 28)
+
+
+def _pool_and_grad(op, x, *args):
+    """Forward of op(x, *args) and the input gradient of a random upstream g."""
+    t = Tensor(x, requires_grad=True)
+    out = op(t, *args)
+    g = np.random.default_rng(1).normal(size=out.shape)
+    ad.sum_all(ad.mul(out, Tensor(g))).backward()
+    return out.data, t.grad, g
+
+
+def _pool_input(shape, ties):
+    rng = np.random.default_rng(0)
+    if ties:  # most windows tie, some on a maximum of +0 against -0
+        return rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape)
+    return rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
+@pytest.mark.parametrize("shape,factor", [
+    ((8, 8, 500), 5), ((8, 16, 100), 5), ((8, 16, 20), 5),  # desk sound
+    ((8, 16, 16), 2), ((8, 16, 8), 2),  # desk text
+    ((3, 4, 103), 5), ((2, 3, 7), 3), ((2, 2, 4), 5), ((1, 2, 1), 2),  # ragged tails
+    ((2, 3, 5), 1),
+])
+def test_maxpool1d_matches_oracle_bitwise(shape, factor, ties):
+    x = _pool_input(shape, ties)
+    out, dx, g = _pool_and_grad(ad.maxpool1d, x, factor)
+    want_out, want_dx = maxpool1d_oracle(x, factor, g)
+    assert out.tobytes() == want_out.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
+@pytest.mark.parametrize("shape,window,stride", [
+    ((8, 8, 32, 32), 2, 2), ((8, 16, 16, 16), 2, 2), ((8, 16, 8, 8), 2, 2),  # desk vision
+    ((2, 3, 9, 7), 3, 3), ((2, 2, 7, 9), 2, 3),  # non-overlapping, floor drops a margin
+])
+def test_maxpool2d_non_overlapping_matches_oracle_bitwise(shape, window, stride, ties):
+    x = _pool_input(shape, ties)
+    out, dx, g = _pool_and_grad(ad.maxpool2d, x, window, stride)
+    want_out, want_dx = maxpool2d_oracle(x, window, stride, g)
+    assert out.tobytes() == want_out.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["normal", "ties"])
+@pytest.mark.parametrize("shape", [(1, 96, 57, 57), (2, 16, 13, 13), (1, 2, 9, 7)])
+def test_maxpool2d_overlapping_matches_oracle(shape, ties):
+    # 3x3 stride 2, the paper's vision pool: an input that is the maximum of
+    # three or more windows sums their gradients in offset order, the oracle
+    # in output order, so only the last bits of such sums may differ. Each
+    # element stays within 1e-15 of the sum of the magnitudes it adds.
+    x = _pool_input(shape, ties)
+    out, dx, g = _pool_and_grad(ad.maxpool2d, x, 3, 2)
+    want_out, want_dx = maxpool2d_oracle(x, 3, 2, g)
+    _, magnitude = maxpool2d_oracle(x, 3, 2, np.abs(g))
+    assert out.tobytes() == want_out.tobytes()
+    assert (np.abs(dx - want_dx) <= 1e-15 * magnitude).all()
+    assert np.array_equal(dx == 0, want_dx == 0)  # each gradient reaches the same inputs
+
+
+@pytest.mark.parametrize("op,args", [
+    (ad.maxpool1d, (5,)), (ad.maxpool2d, (2, 2)), (ad.maxpool2d, (3, 2)),
+    (ad.relu, ()), (ad.clamp_min, (0.5,)),
+], ids=["maxpool1d", "maxpool2d", "maxpool2d-3x3s2", "relu", "clamp_min"])
+@pytest.mark.parametrize("requires_grad", [False, True], ids=["no-grad", "grad"])
+def test_pool_and_relu_forward_allocates_only_the_output(op, args, requires_grad):
+    # No padded copy, tile stack, argmax or mask: the forward holds its
+    # output, the finiteness check's one byte per output element and, over
+    # strided views, up to three of numpy's 8192-element iterator buffers; a
+    # training graph keeps nothing but the output.
+    x = np.random.default_rng(0).normal(size=(4, 16, 64, 64))
+    x = Tensor(x.reshape(4, 16, -1) if op is ad.maxpool1d else x, requires_grad=requires_grad)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = op(x, *args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out._backward_fn is not None) == requires_grad
+    assert peak - before < out.data.nbytes + out.data.size + 3 * 8 * 8192 + 4096
+    assert current - before < out.data.nbytes + 4096
 
 
 def test_relu_examples():

@@ -384,6 +384,7 @@ def test_unknown_config_field_exits_2(pipeline, tmp_path):
     ("train", "beta1", 1.0),
     ("train", "loss", {"margin": 0}),
     ("train", "loss", {"negatives_per_positive": 0}),  # unknown field: every negative counts
+    ("gen-data", "val_size", 0),  # unknown field: there is no validation split
 ])
 def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
                                                   command, field, value):
@@ -402,7 +403,7 @@ def test_malformed_config_field_exits_2_naming_it(pipeline, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command,fields,doc", [
-    ("gen-data", ("val_size", "test_size"), {**WORLD, "val_size": 20, "test_size": 11}),
+    ("gen-data", ("test_size", "triples"), {**WORLD, "test_size": 31}),
     ("eval", ("n_splits", "split_size"), {**EVAL, "n_splits": 2, "split_size": 4}),
     ("eval", ("n_splits", "split_size"), {**EVAL, "n_splits": 2, "split_size": None}),
 ])
@@ -488,7 +489,7 @@ def test_teacher_width_mismatch_exits_2_before_the_run_directory(pipeline, tmp_p
 @pytest.mark.parametrize("seed", [0, 11])
 def test_seed_only_configs_build_the_library_defaults(seed):
     doc = {"seed": seed}
-    assert cli._world_from_config(doc) == (SyntheticWorld(concepts=5, seed=seed), 30, 0, 0)
+    assert cli._world_from_config(doc) == (SyntheticWorld(concepts=5, seed=seed), 30, 0)
     assert cli._train_config(doc) == TrainConfig(seed=seed)
     assert cli._spec_from_config(doc) == nets.desk_spec(1 / 16)
     assert ev.EvalConfig(**cli._fields(ev.EvalConfig, doc, "eval")) == ev.EvalConfig(seed=seed)

@@ -99,37 +99,34 @@ def test_embed_text_empty_after_filter_is_degenerate():
 
 def test_make_splits_deterministic_disjoint_exhaustive():
     ids = [f"id{i:03d}" for i in range(100)]
-    a = dat.make_splits(ids, seed=3, val_size=20, test_size=30)
-    b = dat.make_splits(ids, seed=3, val_size=20, test_size=30)
+    a = dat.make_splits(ids, seed=3, test_size=30)
+    b = dat.make_splits(ids, seed=3, test_size=30)
     assert a == b
-    assert len(a["train"]) == 50 and len(a["val"]) == 20 and len(a["test"]) == 30
-    union = set(a["train"]) | set(a["val"]) | set(a["test"])
-    assert union == set(ids)
-    assert not set(a["train"]) & set(a["val"])
+    assert len(a["train"]) == 70 and len(a["test"]) == 30
+    assert set(a["train"]) | set(a["test"]) == set(ids)
     assert not set(a["train"]) & set(a["test"])
-    assert not set(a["val"]) & set(a["test"])
 
 
 def test_make_splits_seed_changes_assignment():
     ids = [f"id{i:03d}" for i in range(60)]
-    a = dat.make_splits(ids, seed=1, val_size=10, test_size=10)
-    b = dat.make_splits(ids, seed=2, val_size=10, test_size=10)
+    a = dat.make_splits(ids, seed=1, test_size=10)
+    b = dat.make_splits(ids, seed=2, test_size=10)
     assert a != b
 
 
 def test_make_splits_paper_scale_holdouts():
-    # 5,000 held out per eval set, remainder to train
+    # 5,000 held out for evaluation, remainder to train
     ids = [f"v{i:05d}" for i in range(20_000)]
-    splits = dat.make_splits(ids, seed=0, val_size=5000, test_size=5000)
-    assert len(splits["val"]) == len(splits["test"]) == 5000
-    assert len(splits["train"]) == 10_000
+    splits = dat.make_splits(ids, seed=0, test_size=5000)
+    assert len(splits["test"]) == 5000
+    assert len(splits["train"]) == 15_000
 
 
 def test_make_splits_oversubscription_rejected():
     with pytest.raises(ConfigError):
-        dat.make_splits(["a", "b", "c"], seed=0, val_size=2, test_size=2)
-    with pytest.raises(ConfigError):  # would put one id in both train and test
-        dat.make_splits(["a", "b", "c"], seed=0, val_size=-1, test_size=1)
+        dat.make_splits(["a", "b", "c"], seed=0, test_size=4)
+    with pytest.raises(ConfigError):
+        dat.make_splits(["a", "b", "c"], seed=0, test_size=-1)
 
 
 # -- synthetic generator -----------------------------------------------------------
@@ -280,7 +277,7 @@ def test_sample_modality_validation():
 
 def test_write_and_load_dataset_matches_in_memory(tmp_path):
     world = dat.SyntheticWorld(concepts=3, seed=21, output_dim=8)
-    manifest = dat.write_dataset(world, 9, tmp_path, val_size=2, test_size=3)
+    manifest = dat.write_dataset(world, 9, tmp_path, test_size=3)
     loaded = dat.load_dataset(manifest)
     mem = dat.generate_synthetic(world, 9)
 
@@ -292,8 +289,7 @@ def test_write_and_load_dataset_matches_in_memory(tmp_path):
     assert loaded.labels == mem.labels
     for sid, row in mem.teacher.probs.items():
         assert np.allclose(loaded.teacher.probs[sid], row, atol=1e-12)
-    assert len(loaded.pair_ids("train")) == 4
-    assert len(loaded.pair_ids("val")) == 2
+    assert len(loaded.pair_ids("train")) == 6
     assert len(loaded.pair_ids("test")) == 3
 
 
